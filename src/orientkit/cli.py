@@ -21,7 +21,14 @@ from .generators import (
     generate,
     theorem4_id_table,
 )
-from .graphs import Graph, bipartition, parse_graph, serialize_graph
+from .graphs import (
+    bipartition,
+    graph_from_pairs,
+    parse_graph,
+    read_ints,
+    read_pairs,
+    serialize_graph,
+)
 from .orientation import (
     Infeasible,
     Orientation,
@@ -37,11 +44,15 @@ from .t4proof import (
 )
 
 
-def _read_graph(args):
+def _read_text(args):
     if args.input and args.input != "-":
         with open(args.input) as fh:
-            return parse_graph(fh.read())
-    return parse_graph(sys.stdin.read())
+            return fh.read()
+    return sys.stdin.read()
+
+
+def _read_graph(args):
+    return parse_graph(_read_text(args))
 
 
 def _write_orientation(sigma, out=None):
@@ -51,12 +62,8 @@ def _write_orientation(sigma, out=None):
 
 
 def _read_orientation(g, path):
-    arcs = []
     with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                tail, head = map(int, line.split())
-                arcs.append((tail, head))
+        arcs, _ = read_pairs(fh)
     if len(arcs) != g.m:
         raise OrientKitError(f"orientation file has {len(arcs)} arcs, graph has {g.m} edges")
     direction = []
@@ -133,17 +140,15 @@ def _cmd_cnf(args):
 
 def _cmd_decode(args):
     g = _read_graph(args)
+    literals = []
     with open(args.model) as fh:
-        literals = []
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.split()
+            if parts and parts[0] in ("c", "s"):  # DIMACS comment and status lines
+                continue
             if parts and parts[0] in ("v", "V"):
                 parts = parts[1:]
-            for tok in parts:
-                try:
-                    literals.append(int(tok))
-                except ValueError:
-                    pass
+            literals += read_ints(parts, lineno)
     sigma = decode_model(g, args.k, literals)
     _write_orientation(sigma)
     return 0
@@ -152,7 +157,7 @@ def _cmd_decode(args):
 def _parse_family(token):
     if ":" in token:
         name, raw = token.split(":", 1)
-        params = tuple(int(x) for x in raw.split(","))
+        params = tuple(read_ints(raw.split(",")))
     else:
         name, params = token, ()
     aliases = {"t4": "theorem4", "kbip": "complete_bipartite"}
@@ -160,12 +165,8 @@ def _parse_family(token):
 
 
 def _cmd_gen(args):
-    try:
-        spec = _parse_family(args.family)
-        g = generate(spec)
-    except (ValueError, BadParamsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = _parse_family(args.family)
+    g = generate(spec)
     text = serialize_graph(g)
     if args.output and args.output != "-":
         with open(args.output, "w") as fh:
@@ -183,15 +184,10 @@ def _cmd_verify(args):
         g = _read_graph(args)
         sigma = _read_orientation(g, args.orientation)
     else:
-        # bare arc list on stdin: the arcs carry both the graph and sigma
-        if args.input and args.input != "-":
-            with open(args.input) as fh:
-                text = fh.read()
-        else:
-            text = sys.stdin.read()
-        arcs = [tuple(map(int, line.split())) for line in text.splitlines() if line.strip()]
+        # bare arc list: the arcs carry both the graph and sigma
+        arcs, line_numbers = read_pairs(_read_text(args).splitlines())
         n = max((max(a) for a in arcs), default=-1) + 1
-        g = Graph(n=n, edges=tuple(arcs))
+        g = graph_from_pairs(n, arcs, line_numbers)
         sigma = Orientation(graph=g, direction=tuple(True for _ in arcs))
     report = verify_orientation(g, sigma)
     print(f"proper={str(report.proper).lower()} max_indegree={report.max_indegree}")
@@ -291,23 +287,18 @@ def build_parser():
     return parser
 
 
+# Error type -> exit code; the first matching row wins.
+EXIT_CODES = {ParseError: 2, BadParamsError: 2, OSError: 2, OrientKitError: 1}
+
+
 def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BadParamsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OrientKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def main():

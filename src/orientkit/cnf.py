@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import IncompleteModelError
+from .errors import BadParamsError, IncompleteModelError
 from .orientation import Orientation
 
 
@@ -38,7 +38,7 @@ def export_cnf(g, k):
     "edge i : u v" documents each, so models decode back to orientations.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise BadParamsError(f"k must be >= 1, got {k}")
     m = g.m
     comments = [f"proper {k}-orientation of graph with n={g.n} m={m}"]
     for i, (u, v) in enumerate(g.edges):

@@ -5,12 +5,18 @@ class OrientKitError(Exception):
     """Base class for all domain errors."""
 
 
-class ParseError(OrientKitError):
-    """Malformed edge-list input; carries the 1-based offending line."""
+class ParseError(OrientKitError, ValueError):
+    """Malformed input.  ``edge`` is the index of a rejected edge; ``line`` is
+    the 1-based offending line, set by whichever reader knows it."""
 
-    def __init__(self, message, line):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message, line=None, edge=None):
+        super().__init__(message)
         self.line = line
+        self.edge = edge
+
+    def __str__(self):
+        message = super().__str__()
+        return message if self.line is None else f"line {self.line}: {message}"
 
 
 class HeaderFormatError(ParseError):
@@ -98,5 +104,5 @@ class PreconditionFailedError(OrientKitError):
         super().__init__(f"precondition failed: {gate}")
 
 
-class BadParamsError(OrientKitError):
+class BadParamsError(OrientKitError, ValueError):
     pass

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .density import pseudoarboricity
-from .errors import ExceedsCapError, PreconditionFailedError
+from .errors import ExceedsCapError, NotBipartiteError, PreconditionFailedError
+from .generators import q3
 from .graphs import bipartition, connected_components, min_degree
 from .orientation import Orientation
 
@@ -76,38 +77,13 @@ def proper_orientation_number(g, k_max):
     """Least k <= k_max with a proper k-orientation, with its witness.
 
     Scans upward from the pseudoarboricity, a valid lower bound since any
-    orientation of G has max indegree at least that.
+    orientation of G has max indegree at least that (0 for an edgeless G).
     """
-    start = max(1, pseudoarboricity(g))
-    for k in range(start, k_max + 1):
+    for k in range(pseudoarboricity(g), k_max + 1):
         witness = exists_proper_k(g, k)
         if witness is not None:
             return ExactResult(value=k, witness=witness)
     raise ExceedsCapError(f"no proper k-orientation for k <= {k_max}")
-
-
-def brute_force_proper_k(g, k):
-    """Independent oracle: try all 2^|E| orientations.  |E| <= ~20 only."""
-    m = g.m
-    for mask in range(1 << m):
-        indeg = [0] * g.n
-        for i, (u, v) in enumerate(g.edges):
-            indeg[v if mask >> i & 1 else u] += 1
-        if max(indeg, default=0) > k:
-            continue
-        if all(indeg[u] != indeg[v] for u, v in g.edges):
-            return Orientation(
-                graph=g, direction=tuple(bool(mask >> i & 1) for i in range(m))
-            )
-    return None
-
-
-Q3_EDGES = tuple(
-    (a, b)
-    for a in range(8)
-    for b in range(a + 1, 8)
-    if bin(a ^ b).count("1") == 1
-)
 
 
 def is_q3(g):
@@ -120,8 +96,6 @@ def is_q3(g):
         return False
     from itertools import permutations
 
-    from .errors import NotBipartiteError
-
     try:
         part = bipartition(g)
     except NotBipartiteError:
@@ -132,7 +106,7 @@ def is_q3(g):
         return False
     cube_even = [v for v in range(8) if bin(v).count("1") % 2 == 0]
     cube_odd = [v for v in range(8) if bin(v).count("1") % 2 == 1]
-    target = {frozenset(e) for e in Q3_EDGES}
+    target = {frozenset(e) for e in q3().edges}
     for x_image, y_image in ((cube_even, cube_odd), (cube_odd, cube_even)):
         for perm_x in permutations(x_image):
             mapping = dict(zip(ours_x, perm_x))

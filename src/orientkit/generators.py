@@ -11,9 +11,6 @@ from dataclasses import dataclass
 from .errors import BadParamsError
 from .graphs import Graph
 
-FAMILIES = ("q3", "pdw", "theorem4", "complete_bipartite", "path", "cycle", "star")
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     family: str
@@ -46,29 +43,31 @@ def pdw(m):
 def theorem4_id_table(extra=0):
     """Role -> (first id, last id) for the tight delta=2 instance.
 
-    Layout: a[i][j][k] with i,j in 0..3 and k in 0..6 at id 28i+7j+k... the
-    exact rule is a_id(i,j,k) = (4i+j)*7 + k; then the b, c, d, p, q hubs,
-    the two top vertices, and the optional extra degree-2 vertices hanging
-    off b[0][0] and c[0][0].
+    Layout: a(i,j,k) for i, j in 0..3 and k in 0..6 is id 28i + 7j + k; then
+    the b, c, d, p, q hubs, the two top vertices s and t, and the optional
+    extra degree-2 vertices hanging off b(0,0) and c(0,0).
     """
     if extra < 0:
         raise BadParamsError("extra must be >= 0")
+    a, b, c, d, p, q, s, t = _t4_ids()
     table = {
-        "a": (0, 111),
-        "b": (112, 127),
-        "c": (128, 143),
-        "d": (144, 171),
-        "p": (172, 175),
-        "q": (176, 179),
-        "s": (180, 180),
-        "t": (181, 181),
+        "a": (a(0, 0, 0), a(3, 3, 6)),
+        "b": (b(0, 0), b(3, 3)),
+        "c": (c(0, 0), c(3, 3)),
+        "d": (d(0, 0), d(3, 6)),
+        "p": (p(0), p(3)),
+        "q": (q(0), q(3)),
+        "s": (s, s),
+        "t": (t, t),
     }
     if extra:
-        table["extra"] = (182, 181 + extra)
+        table["extra"] = (t + 1, t + extra)
     return table
 
 
 def _t4_ids():
+    """The theorem-4 layout: id functions a, b, c, d, p, q and the ids s, t.
+    Extra vertices follow t."""
     a = lambda i, j, k: (4 * i + j) * 7 + k
     b = lambda i, j: 112 + 4 * i + j
     c = lambda i, j: 128 + 4 * i + j
@@ -109,10 +108,10 @@ def theorem4(extra=0):
         edges.append((p(i), t))
         edges.append((q(i), s))
         edges.append((q(i), t))
-    for x in range(182, 182 + extra):
+    for x in range(t + 1, t + 1 + extra):
         edges.append((x, b(0, 0)))
         edges.append((x, c(0, 0)))
-    return Graph(n=182 + extra, edges=tuple(edges), planar_asserted=True)
+    return Graph(n=t + 1 + extra, edges=tuple(edges), planar_asserted=True)
 
 
 def complete_bipartite(a, b):
@@ -147,31 +146,24 @@ def star(leaves):
     )
 
 
+# family name -> (constructor, number of integer parameters)
+FAMILIES = {
+    "q3": (q3, 0),
+    "pdw": (pdw, 1),
+    "theorem4": (theorem4, 1),
+    "complete_bipartite": (complete_bipartite, 2),
+    "path": (path, 1),
+    "cycle": (cycle, 1),
+    "star": (star, 1),
+}
+
+
 def generate(spec):
     """Dispatch a FamilySpec to its constructor."""
     family, params = spec.family, tuple(spec.params)
-    arity = {
-        "q3": 0,
-        "pdw": 1,
-        "theorem4": 1,
-        "complete_bipartite": 2,
-        "path": 1,
-        "cycle": 1,
-        "star": 1,
-    }
-    if family not in arity:
+    if family not in FAMILIES:
         raise BadParamsError(f"unknown family {family!r}")
-    if len(params) != arity[family]:
-        raise BadParamsError(
-            f"{family} takes {arity[family]} parameter(s), got {len(params)}"
-        )
-    builders = {
-        "q3": q3,
-        "pdw": pdw,
-        "theorem4": theorem4,
-        "complete_bipartite": complete_bipartite,
-        "path": path,
-        "cycle": cycle,
-        "star": star,
-    }
-    return builders[family](*params)
+    build, arity = FAMILIES[family]
+    if len(params) != arity:
+        raise BadParamsError(f"{family} takes {arity} parameter(s), got {len(params)}")
+    return build(*params)

@@ -16,6 +16,7 @@ from .errors import (
     DuplicateEdgeError,
     HeaderFormatError,
     NotBipartiteError,
+    ParseError,
     PlanarityNotAssertedError,
     SelfLoopError,
     TooSmallError,
@@ -36,17 +37,22 @@ class Graph:
     adjacency: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        adj = [[] for _ in range(self.n)]
+        # The one edge-list rule: ids in range, then no loop, then no repeat.
+        n = self.n
+        first = {}
+        adj = [[] for _ in range(n)]
         for i, (u, v) in enumerate(self.edges):
+            if not (0 <= u < n and 0 <= v < n):
+                raise VertexRangeError(
+                    f"edge {i} = ({u}, {v}): vertex ids must lie in 0..n-1 with n = {n}",
+                    edge=i,
+                )
             if u == v:
-                raise ValueError(f"self-loop at edge {i}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"vertex out of range at edge {i}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge at index {i}")
-            seen.add(key)
+                raise SelfLoopError(f"edge {i} is a self-loop at vertex {u}", edge=i)
+            key = (u, v) if u < v else (v, u)
+            if key in first:
+                raise DuplicateEdgeError(f"edge {i} duplicates edge {first[key]}", edge=i)
+            first[key] = i
             adj[u].append((v, i))
             adj[v].append((u, i))
         object.__setattr__(self, "edges", tuple((u, v) for u, v in self.edges))
@@ -79,11 +85,45 @@ class EdgeBoundStatus(enum.Enum):
     EXCEEDS_BOUND = "ExceedsBound"
 
 
+def read_ints(tokens, line=None):
+    """The tokens as ints; any other token is a ParseError naming its line."""
+    values = []
+    for tok in tokens:
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ParseError(f"expected an integer, got {tok!r}", line) from None
+    return values
+
+
+def read_pairs(lines, first_line=1):
+    """The nonblank "u v" lines as int pairs, with their 1-based line numbers."""
+    pairs, line_numbers = [], []
+    for lineno, raw in enumerate(lines, first_line):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if len(tokens) != 2:
+            raise HeaderFormatError('expected "u v"', lineno)
+        pairs.append(tuple(read_ints(tokens, lineno)))
+        line_numbers.append(lineno)
+    return pairs, line_numbers
+
+
+def graph_from_pairs(n, pairs, line_numbers, planar=False):
+    """Graph(n, pairs); an edge that Graph rejects is reported at its line."""
+    try:
+        return Graph(n=n, edges=tuple(pairs), planar_asserted=planar)
+    except ParseError as exc:
+        exc.line = line_numbers[exc.edge]
+        raise
+
+
 def parse_graph(text):
     """Parse the edge-list interchange format into a Graph.
 
-    Format: first line "n m [planar]", then m lines "u v".  Rejects
-    self-loops and duplicate edges with the offending line number.
+    Format: first line "n m [planar]", then m lines "u v".  Graph rejects
+    bad edges; the error names the offending line.
     """
     lines = text.splitlines()
     if not lines:
@@ -102,36 +142,11 @@ def parse_graph(text):
     if n < 0 or m < 0:
         raise HeaderFormatError("n and m must be nonnegative", 1)
 
-    edges = []
-    seen = {}
-    lineno = 1
-    for raw in lines[1:]:
-        lineno += 1
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) != 2:
-            raise HeaderFormatError('expected "u v"', lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise HeaderFormatError("vertex ids must be integers", lineno) from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexRangeError(f"vertex out of range 0..{n - 1}", lineno)
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}", lineno)
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise DuplicateEdgeError(
-                f"duplicate of edge at line {seen[key]}", lineno
-            )
-        seen[key] = lineno
-        edges.append((u, v))
-    if len(edges) != m:
-        raise HeaderFormatError(
-            f"header promises {m} edges, found {len(edges)}", lineno + 1
-        )
-    return Graph(n=n, edges=tuple(edges), planar_asserted=planar)
+    pairs, line_numbers = read_pairs(lines[1:], 2)
+    g = graph_from_pairs(n, pairs, line_numbers, planar)
+    if g.m != m:
+        raise HeaderFormatError(f"header promises {m} edges, found {g.m}", len(lines) + 1)
+    return g
 
 
 def serialize_graph(g):
@@ -189,7 +204,7 @@ def _odd_cycle(parent, depth, u, v):
 def min_degree(g):
     """delta(G); requires at least one vertex."""
     if g.n < 1:
-        raise ValueError("graph has no vertices")
+        raise TooSmallError("graph has no vertices")
     return min(g.degrees())
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    BadParamsError,
     EdgeBoundViolatedError,
     MinDegreeTooSmallError,
     PlanarityNotAssertedError,
@@ -68,7 +69,7 @@ class OrientationReport:
 def k_orientation(g, k):
     """An orientation with all indegrees <= k, or Infeasible with witness."""
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise BadParamsError(f"k must be >= 0, got {k}")
     m, n = g.m, g.n
     if m == 0:
         return Orientation(graph=g, direction=())
@@ -98,7 +99,7 @@ def proper_bipartite_orientation(g, part, x_class, k):
     indegrees only drop, so the result is proper with max indegree k+1.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise BadParamsError(f"k must be >= 1, got {k}")
     x_vertices = part.vertices_in(x_class)
     for x in x_vertices:
         if g.degree(x) <= k:
@@ -109,23 +110,20 @@ def proper_bipartite_orientation(g, part, x_class, k):
 
     direction = list(sigma.direction)
     indeg = sigma.indegrees()
-    in_x = [False] * g.n
-    for x in x_vertices:
-        in_x[x] = True
     for x in x_vertices:
         need = (k + 1) - indeg[x]
         if need <= 0:
             continue
-        for i, (u, v) in enumerate(g.edges):
-            if need == 0:
-                break
-            head = v if direction[i] else u
-            tail = u + v - head
-            if tail == x:
+        # adjacency lists edges by index, so the lowest-index arcs flip first
+        for w, i in g.adjacency[x]:
+            u, v = g.edges[i]
+            if (v if direction[i] else u) == w:  # the arc x -> w
                 direction[i] = not direction[i]
                 indeg[x] += 1
-                indeg[head] -= 1
+                indeg[w] -= 1
                 need -= 1
+                if need == 0:
+                    break
         assert need == 0  # guaranteed by deg(x) >= k+1
     return Orientation(graph=g, direction=tuple(direction))
 

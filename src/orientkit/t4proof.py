@@ -194,17 +194,13 @@ def witness_four_orientation(extra=0):
     direction = []
     for u, v in g.edges:
         if v in (s, t):  # (p_i, s), (p_i, t), (q_i, s), (q_i, t)
-            is_p = 172 <= u <= 175
+            is_p = p(0) <= u <= p(3)
             if v == s:
                 direction.append(not is_p)  # q -> s in, s -> p out
             else:
                 direction.append(is_p)  # p -> t in, t -> q out
-        elif u < 112:  # (a(i,j,k), hub)
+        elif u < b(0, 0):  # (a(i,j,k), hub): a(i,j,0) = 7(4i+j) is the lead spoke
             direction.append(u % 7 == 0)  # lead spoke feeds hubs, hubs feed the rest
-        elif u >= 182:  # extra degree-2 vertices, fed by the hubs
-            direction.append(False)
-        elif 112 <= u <= 143:  # (hub, p/q): p and q feed the hubs
-            direction.append(False)
-        else:  # (d, p/q): p and q feed the d tier
+        else:  # (hub, p/q), (d, p/q), (extra, hub): p, q feed hubs and d, hubs feed extras
             direction.append(False)
     return Orientation(graph=g, direction=tuple(direction))

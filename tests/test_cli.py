@@ -1,4 +1,6 @@
+import contextlib
 import io
+from unittest import mock
 
 import pytest
 
@@ -131,3 +133,75 @@ def test_gen_to_file(tmp_path, capsys):
     target = tmp_path / "g.txt"
     assert run(["gen", "pdw:4", "-o", str(target)]) == 0
     assert parse_graph(target.read_text()).n == 10
+
+
+C4 = serialize_graph(cycle(4))
+
+# (argv, stdin, files written to tmp_path, exit code, offending line or None);
+# "{name}" in argv is replaced by the path of that file.
+ERROR_TABLE = {
+    "verify-duplicate-arc": (["verify"], "0 1\n1 0\n", {}, 2, 2),
+    "verify-self-loop": (["verify"], "0 0\n", {}, 2, 1),
+    "verify-non-integer": (["verify"], "0 x\n", {}, 2, 1),
+    "verify-orientation-non-integer": (
+        ["verify", "--orientation", "{sigma}"], C4,
+        {"sigma": "1 0\na b\n3 2\n3 0\n"}, 2, 2,
+    ),
+    "orient-negative-k": (["orient", "-k", "-1"], C4, {}, 2, None),
+    "proper-k-zero": (["proper", "-k", "0"], C4, {}, 2, None),
+    "cnf-k-zero": (["cnf", "-k", "0"], C4, {}, 2, None),
+    "decode-non-integer": (
+        ["decode", "-k", "2", "--model", "{model}"], C4,
+        {"model": "c solver output\ns SATISFIABLE\nv 1 -2 zz 0\n"}, 2, 3,
+    ),
+    "proper3-no-vertices": (["proper3"], "0 0 planar\n", {}, 1, None),
+}
+
+
+@pytest.mark.parametrize("case", ERROR_TABLE, ids=list(ERROR_TABLE))
+def test_error_exit_codes(case, tmp_path, capsys, monkeypatch):
+    argv, stdin, files, code, line = ERROR_TABLE[case]
+    paths = {}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        paths[name] = str(tmp_path / name)
+    feed(monkeypatch, stdin)
+    assert run([arg.format(**paths) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if line is not None:
+        assert f"line {line}" in err
+
+
+def test_decode_skips_dimacs_comment_and_status_lines(tmp_path, capsys, monkeypatch):
+    model = tmp_path / "model.txt"
+    model.write_text("c solved\ns SATISFIABLE\nv 1 2\nv 3 4 0\n")
+    feed(monkeypatch, C4)
+    assert run(["decode", "-k", "2", "--model", str(model)]) == 0
+    assert capsys.readouterr().out == "0 1\n1 2\n2 3\n3 0\n"
+
+
+def test_gen_non_integer_parameter(capsys):
+    assert run(["gen", "pdw:x"]) == 2
+    assert capsys.readouterr().err == "error: expected an integer, got 'x'\n"
+
+
+def test_random_text_gives_an_exit_code():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # small vertex ids only: a huge header still allocates before it is checked
+    token = st.sampled_from(["0", "1", "2", "3", "-1", "x", "1.5", "planar", "v", ""])
+    text = st.lists(st.lists(token, max_size=3).map(" ".join), max_size=6).map("\n".join)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(text=text, command=st.sampled_from(["verify", "mad"]))
+    def check(text, command):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(text)), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command])
+        assert code in (0, 1, 2)
+        assert (code == 0) == (err.getvalue() == "")
+
+    check()

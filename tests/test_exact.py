@@ -134,3 +134,9 @@ def test_quadrangulation_gates():
     assert "degree" in exc.value.gate
     with pytest.raises(PreconditionFailedError):
         quadrangulation_number(Graph(n=8, edges=q3().edges, planar_asserted=False))
+
+
+def test_number_edgeless_is_zero():
+    result = proper_orientation_number(parse_graph("3 0\n"), 4)
+    assert result.value == 0
+    assert verify_orientation(result.witness.graph, result.witness).proper

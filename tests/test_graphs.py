@@ -4,6 +4,7 @@ from orientkit.errors import (
     DuplicateEdgeError,
     HeaderFormatError,
     NotBipartiteError,
+    ParseError,
     PlanarityNotAssertedError,
     SelfLoopError,
     TooSmallError,
@@ -145,6 +146,8 @@ def test_min_degree():
     assert min_degree(q3()) == 3
     assert min_degree(parse_graph("2 1\n0 1\n")) == 1
     assert min_degree(theorem4(0)) == 2
+    with pytest.raises(TooSmallError):
+        min_degree(Graph(n=0, edges=()))
 
 
 def test_euler_check_q3():
@@ -186,3 +189,33 @@ def test_connected_components():
     g = Graph(n=5, edges=((0, 1), (2, 3)))
     comps = connected_components(g)
     assert [sorted(c) for c in comps] == [[0, 1], [2, 3], [4]]
+
+
+@pytest.mark.parametrize(
+    "edges, error, edge",
+    [
+        (((0, 1), (0, 5)), VertexRangeError, 1),
+        (((5, 5),), VertexRangeError, 0),  # range is checked before loops
+        (((0, 1), (1, 1)), SelfLoopError, 1),
+        (((0, 1), (1, 0)), DuplicateEdgeError, 1),
+    ],
+)
+def test_graph_names_the_rejected_edge(edges, error, edge):
+    with pytest.raises(error) as exc:
+        Graph(n=2, edges=edges)
+    assert exc.value.edge == edge
+    assert exc.value.line is None
+    assert str(exc.value).startswith(f"edge {edge}")
+
+
+def test_parse_error_line_skips_blank_lines():
+    with pytest.raises(DuplicateEdgeError) as exc:
+        parse_graph("3 2\n0 1\n\n1 0\n")
+    assert (exc.value.edge, exc.value.line) == (1, 4)
+    assert str(exc.value).startswith("line 4: ")
+
+
+def test_parse_non_integer_vertex():
+    with pytest.raises(ParseError) as exc:
+        parse_graph("2 1\n0 y\n")
+    assert exc.value.line == 2
