@@ -63,17 +63,14 @@ def _write_orientation(sigma, out=None):
 
 def _read_orientation(g, path):
     with open(path) as fh:
-        arcs, _ = read_pairs(fh)
+        arcs, line_numbers = read_pairs(fh)
     if len(arcs) != g.m:
-        raise OrientKitError(f"orientation file has {len(arcs)} arcs, graph has {g.m} edges")
+        raise ParseError(f"orientation file has {len(arcs)} arcs, graph has {g.m} edges")
     direction = []
-    for (u, v), (tail, head) in zip(g.edges, arcs):
-        if (tail, head) == (u, v):
-            direction.append(True)
-        elif (tail, head) == (v, u):
-            direction.append(False)
-        else:
-            raise OrientKitError(f"arc {tail}->{head} does not match edge ({u},{v})")
+    for (u, v), (tail, head), line in zip(g.edges, arcs, line_numbers):
+        if (tail, head) not in ((u, v), (v, u)):
+            raise ParseError(f"arc {tail}->{head} does not match edge ({u},{v})", line)
+        direction.append((tail, head) == (u, v))
     return Orientation(graph=g, direction=tuple(direction))
 
 

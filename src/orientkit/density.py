@@ -1,13 +1,21 @@
 """Exact maximum average degree and pseudoarboricity.
 
-Mad(G) = max over subgraphs H of 2|E(H)|/|V(H)| is found by binary search
-on a density guess g over the Goldberg flow network (source -> edge nodes,
-capacity 1; edge node -> endpoints, unbounded; vertex -> sink, capacity g),
-with every capacity scaled by g's denominator so the flow stays integral.
-A subgraph denser than g exists iff max flow < |E|.  Distinct achievable
-densities have denominator <= n, so once the interval is narrower than
-1/(n(n-1)^2) the source-side cut at the last infeasible guess induces the
-exact maximizer and its density is Mad itself.
+Mad(G) = max over subgraphs H of 2|E(H)|/|V(H)|.  At a density lam = p/q
+the orientation network of ``orientation._spread`` with 2q units per edge
+and capacity p per vertex fits every unit iff no subgraph is denser than
+lam; otherwise its min cut gives a subgraph H that maximizes
+2|E(H)| - lam*|H|, the smallest such one, and so denser than lam.
+
+Dinkelbach's iteration starts at the whole graph's density and moves lam
+to the density of each H found, until nothing is denser: lam is then Mad.
+Every step strictly raises lam, and lam only takes the finitely many
+subgraph densities, so the loop ends, in practice after one or two tests.
+
+The witness is the last H, found at some lam < Mad with density Mad.
+Among the densest subgraphs, the one with the most vertices maximizes
+|H|(Mad - lam), so H is the union of all densest subgraphs: the unique
+maximal densest subgraph.  When the first test finds nothing, the whole
+vertex set is that union.
 """
 
 from __future__ import annotations
@@ -16,39 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyEdgeSetError
-from .flow import Dinic
-from .orientation import Infeasible, k_orientation
+from .orientation import Infeasible, _spread, k_orientation
 
 
 @dataclass(frozen=True)
 class DensityReport:
     mad: Fraction
     witness: tuple  # vertex subset achieving 2|E(H)|/|V(H)| = mad
-
-
-def _denser_subgraph_exists(g, guess):
-    """Max-flow test: is there a subgraph with density strictly above guess?
-
-    Returns (answer, witness vertices from the source-side min cut).
-    """
-    # guess = p/q bounds 2|E(H)|/|V(H)|, so an edge carries 2q units against
-    # vertex capacity p; all capacities stay integral.
-    p, q = guess.numerator, guess.denominator
-    m, n = g.m, g.n
-    source, sink = 0, 1 + m + n
-    big = 2 * q * m + 1
-    net = Dinic(2 + m + n)
-    for i, (u, v) in enumerate(g.edges):
-        net.add_edge(source, 1 + i, 2 * q)
-        net.add_edge(1 + i, 1 + m + u, big)
-        net.add_edge(1 + i, 1 + m + v, big)
-    for v in range(n):
-        net.add_edge(1 + m + v, sink, p)
-    flow = net.max_flow(source, sink)
-    if flow >= 2 * m * q:
-        return False, ()
-    cut = net.min_cut_source_side(source)
-    return True, tuple(v for v in range(n) if (1 + m + v) in cut)
 
 
 def subgraph_density(g, vertices):
@@ -59,28 +41,17 @@ def subgraph_density(g, vertices):
 
 
 def mad_exact(g):
-    """Exact Mad with a densest induced-subgraph witness."""
+    """Exact Mad with the maximal densest induced-subgraph witness."""
     if g.m == 0:
         raise EmptyEdgeSetError("Mad needs at least one edge")
-    n = g.n
-    lo, hi = Fraction(0), Fraction(n)
-    eps = Fraction(1, n * (n - 1) ** 2) if n >= 2 else Fraction(1, 2)
-    witness = ()
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        denser, cut_vertices = _denser_subgraph_exists(g, mid)
-        if denser:
-            lo = mid
-            witness = cut_vertices
-        else:
-            hi = mid
-    # Mad lies in (lo, hi]; the witness found at the final lo is denser than
-    # lo and at most Mad, and the interval is too narrow to hold two
-    # distinct densities of denominator <= n, so the witness is a maximizer.
-    assert witness, "the search interval always drops below the whole-graph density"
-    mad = subgraph_density(g, witness)
-    assert lo < mad <= hi
-    return DensityReport(mad=mad, witness=witness)
+    lam, witness = Fraction(2 * g.m, g.n), tuple(range(g.n))
+    while True:
+        _, denser = _spread(g, 2 * lam.denominator, lam.numerator)
+        if denser is None:
+            return DensityReport(mad=lam, witness=witness)
+        density = subgraph_density(g, denser)
+        assert density > lam, "each step finds a strictly denser subgraph"
+        lam, witness = density, denser
 
 
 def pseudoarboricity(g):

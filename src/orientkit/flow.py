@@ -1,7 +1,8 @@
 """Dinic max flow on integer capacities.
 
-Capacities are exact Python ints (scaled rationals upstream); no floats
-anywhere, so feasibility answers are never off by epsilon.
+Capacities and flows are exact Python ints (scaled rationals upstream), so
+feasibility answers are exact.  Each phase walks the level graph with an
+explicit path stack, so an augmenting path may be as long as the network.
 """
 
 from __future__ import annotations
@@ -44,30 +45,40 @@ class Dinic:
                     queue.append(v)
         return self.level[t] >= 0
 
-    def _dfs(self, u, t, pushed):
-        if u == t:
-            return pushed
-        while self.iter[u] < len(self.head[u]):
-            arc = self.head[u][self.iter[u]]
-            v = self.to[arc]
-            if self.cap[arc] > 0 and self.level[v] == self.level[u] + 1:
-                got = self._dfs(v, t, min(pushed, self.cap[arc]))
-                if got > 0:
-                    self.cap[arc] -= got
-                    self.cap[arc ^ 1] += got
-                    return got
-            self.iter[u] += 1
-        return 0
+    def _blocking_flow(self, s, t):
+        """Saturate the level graph: walk current arcs from s, retreat from a
+        dead end and advance the parent's arc, push each path's bottleneck at
+        t and resume from the tail of its first saturated arc."""
+        head, to, cap, level = self.head, self.to, self.cap, self.level
+        next_arc = [0] * self.n
+        path, total, u = [], 0, s  # path: the arc ids from s to u
+        while True:
+            if u == t:
+                pushed = min([cap[arc] for arc in path])
+                for arc in path:
+                    cap[arc] -= pushed
+                    cap[arc ^ 1] += pushed
+                total += pushed
+                del path[[cap[arc] for arc in path].index(0):]
+                u = to[path[-1]] if path else s
+                continue
+            arcs, i, up = head[u], next_arc[u], level[u] + 1
+            while i < len(arcs) and (cap[arcs[i]] == 0 or level[to[arcs[i]]] != up):
+                i += 1
+            next_arc[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                u = to[arcs[i]]
+            elif path:
+                u = to[path.pop() ^ 1]
+                next_arc[u] += 1
+            else:
+                return total
 
     def max_flow(self, s, t):
         total = 0
         while self._bfs(s, t):
-            self.iter = [0] * self.n
-            while True:
-                pushed = self._dfs(s, t, float("inf"))
-                if pushed == 0:
-                    break
-                total += pushed
+            total += self._blocking_flow(s, t)
         return total
 
     def min_cut_source_side(self, s):

@@ -86,13 +86,13 @@ class EdgeBoundStatus(enum.Enum):
 
 
 def read_ints(tokens, line=None):
-    """The tokens as ints; any other token is a ParseError naming its line."""
+    """The tokens as ints; a token other than ASCII -?[0-9]+ (int() would
+    also take "+1", "1_0" and non-ASCII digits) is a ParseError at line."""
     values = []
     for tok in tokens:
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise ParseError(f"expected an integer, got {tok!r}", line) from None
+        if not (tok.isascii() and (tok.isdigit() or tok[:1] == "-" and tok[1:].isdigit())):
+            raise ParseError(f"expected an integer, got {tok!r}", line)
+        values.append(int(tok))
     return values
 
 
@@ -136,8 +136,8 @@ def parse_graph(text):
     if len(header) != 2:
         raise HeaderFormatError('expected "n m [planar]"', 1)
     try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
+        n, m = read_ints(header, 1)
+    except ParseError:
         raise HeaderFormatError("n and m must be integers", 1) from None
     if n < 0 or m < 0:
         raise HeaderFormatError("n and m must be nonnegative", 1)

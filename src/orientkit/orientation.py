@@ -1,11 +1,12 @@
 """Orientations: flow-based k-orientations, the switching construction for
 bipartite graphs, and the independent verifier.
 
-The k-orientation network is the classic one: source -> one node per edge
-(capacity 1) -> both endpoints (capacity 1) -> sink (capacity k).  A
-k-orientation exists iff the max flow saturates every edge node; on
-failure the source side of the min cut yields a vertex set H with
-|E(G[H])| > k|H|.
+One network answers every orientation question here and in ``density``:
+source -> one node per edge (capacity ``units``) -> both endpoints
+(capacity ``units``) -> sink (capacity ``cap`` per vertex).  Every unit fits
+iff no vertex set H has units*|E(G[H])| > cap*|H|, and when one does not
+fit, the source side of the min cut is such an H.  A k-orientation is the
+case units = 1, cap = k.
 """
 
 from __future__ import annotations
@@ -66,28 +67,37 @@ class OrientationReport:
     violations: tuple  # edge indices whose endpoints tie on indegree
 
 
-def k_orientation(g, k):
-    """An orientation with all indegrees <= k, or Infeasible with witness."""
-    if k < 0:
-        raise BadParamsError(f"k must be >= 0, got {k}")
+def _spread(g, units, cap):
+    """Send units from each edge to its endpoints, at most cap into a vertex.
+
+    Returns (loads, None) when every unit fits, loads[i] being what edge i
+    puts on its second endpoint; otherwise (None, H) with H the vertices on
+    the source side of the min cut, so that units*|E(G[H])| > cap*|H|.
+    """
     m, n = g.m, g.n
-    if m == 0:
-        return Orientation(graph=g, direction=())
     source, sink = 0, 1 + m + n
     net = Dinic(2 + m + n)
     to_head = []  # arc id of edge-node -> second endpoint, per edge
     for i, (u, v) in enumerate(g.edges):
-        net.add_edge(source, 1 + i, 1)
-        net.add_edge(1 + i, 1 + m + u, 1)
-        to_head.append(net.add_edge(1 + i, 1 + m + v, 1))
+        net.add_edge(source, 1 + i, units)
+        net.add_edge(1 + i, 1 + m + u, units)
+        to_head.append(net.add_edge(1 + i, 1 + m + v, units))
     for v in range(n):
-        net.add_edge(1 + m + v, sink, k)
-    if net.max_flow(source, sink) < m:
+        net.add_edge(1 + m + v, sink, cap)
+    if net.max_flow(source, sink) < units * m:
         cut = net.min_cut_source_side(source)
-        witness = tuple(v for v in range(n) if (1 + m + v) in cut)
+        return None, tuple(v for v in range(n) if (1 + m + v) in cut)
+    return [net.flow_on(arc) for arc in to_head], None
+
+
+def k_orientation(g, k):
+    """An orientation with all indegrees <= k, or Infeasible with witness."""
+    if k < 0:
+        raise BadParamsError(f"k must be >= 0, got {k}")
+    loads, witness = _spread(g, 1, k)
+    if loads is None:
         return Infeasible(k=k, witness=witness)
-    direction = tuple(net.flow_on(arc) > 0 for arc in to_head)
-    return Orientation(graph=g, direction=direction)
+    return Orientation(graph=g, direction=tuple(load > 0 for load in loads))
 
 
 def proper_bipartite_orientation(g, part, x_class, k):

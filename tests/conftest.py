@@ -24,6 +24,20 @@ def brute_force_mad(g):
     return best
 
 
+def brute_force_densest(g):
+    """The largest vertex subset H with 2|E(H)|/|V(H)| = brute_force_mad(g),
+    as a sorted tuple; it is the union of all densest subsets."""
+    best, largest = Fraction(0), ()
+    for size in range(1, g.n + 1):
+        for subset in combinations(range(g.n), size):
+            vs = set(subset)
+            inside = sum(1 for u, v in g.edges if u in vs and v in vs)
+            density = Fraction(2 * inside, size)
+            if density >= best:  # sizes ascend, so ties keep the largest
+                best, largest = density, subset
+    return largest
+
+
 def brute_force_exists_proper_k(g, k):
     """Scan all 2^|E| orientations for a proper one with max indegree <= k."""
     m = g.m
@@ -36,6 +50,13 @@ def brute_force_exists_proper_k(g, k):
         ):
             return True
     return False
+
+
+def unicyclic(n):
+    """The path n-1, ..., 1, 0 plus the chord (n-1, n-4): one 4-cycle at the
+    far end of a long tail, so augmenting paths are about n nodes long."""
+    edges = tuple((i + 1, i) for i in range(n - 1)) + ((n - 1, n - 4),)
+    return Graph(n=n, edges=edges)
 
 
 def random_connected_graph(rng, n):

@@ -155,6 +155,17 @@ ERROR_TABLE = {
         {"model": "c solver output\ns SATISFIABLE\nv 1 -2 zz 0\n"}, 2, 3,
     ),
     "proper3-no-vertices": (["proper3"], "0 0 planar\n", {}, 1, None),
+    "verify-underscore-digits": (["verify"], "0 1_0\n", {}, 2, 1),
+    "verify-plus-sign": (["verify"], "0 +1\n", {}, 2, 1),
+    "verify-non-ascii-digit": (["verify"], "0 \u0661\n", {}, 2, 1),
+    "mad-plus-sign-header": (["mad"], "+2 1\n0 1\n", {}, 2, 1),
+    "verify-orientation-arc-mismatch": (
+        ["verify", "--orientation", "{sigma}"], C4,
+        {"sigma": "1 0\n0 2\n3 2\n3 0\n"}, 2, 2,
+    ),
+    "verify-orientation-arc-count": (
+        ["verify", "--orientation", "{sigma}"], C4, {"sigma": "1 0\n1 2\n"}, 2, None,
+    ),
 }
 
 

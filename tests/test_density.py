@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_force_mad, random_connected_graph
+from conftest import brute_force_densest, brute_force_mad, random_connected_graph, unicyclic
 from orientkit.density import mad_exact, pseudoarboricity, subgraph_density
 from orientkit.errors import EmptyEdgeSetError
+from orientkit.flow import Dinic
 from orientkit.generators import complete_bipartite, cycle, path, pdw, q3, star, theorem4
 from orientkit.graphs import Graph, parse_graph
 
@@ -57,6 +58,52 @@ def test_matches_brute_force_random():
         assert report.mad == brute_force_mad(g)
         assert subgraph_density(g, report.witness) == report.mad
         assert report.mad.denominator <= g.n
+        assert tuple(sorted(report.witness)) == brute_force_densest(g)
+
+
+def test_witness_is_the_largest_densest_subset():
+    # two disjoint K4s and a pendant vertex 8: each K4 has density 3, and so
+    # does their union, which is the largest densest subset
+    k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    edges = k4 + [(a + 4, b + 4) for a, b in k4] + [(8, 0)]
+    g = Graph(n=9, edges=tuple(edges))
+    report = mad_exact(g)
+    assert report.mad == brute_force_mad(g) == Fraction(3)
+    assert tuple(sorted(report.witness)) == brute_force_densest(g) == tuple(range(8))
+
+
+def test_climbs_through_a_larger_sparser_subgraph():
+    # K5 (density 4) bridged to pdw(20) (42 vertices, density 80/21), then a
+    # 40-vertex tail: the first cut is K5 plus pdw(20), the next is K5 alone
+    k5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    wheel = [(u + 5, v + 5) for u, v in pdw(20).edges]
+    tail = [(46 + i, 47 + i) for i in range(40)]
+    report = mad_exact(Graph(n=87, edges=tuple(k5 + wheel + [(4, 5)] + tail)))
+    assert report.mad == Fraction(4)
+    assert sorted(report.witness) == [0, 1, 2, 3, 4]
+
+
+def test_long_augmenting_paths():
+    # every subgraph of a unicyclic graph has |E(H)| <= |V(H)|, so Mad = 2,
+    # and the whole graph reaches it
+    g = unicyclic(601)
+    report = mad_exact(g)
+    assert report.mad == Fraction(2)
+    assert tuple(sorted(report.witness)) == tuple(range(601))
+
+
+def test_mad_needs_at_most_two_flows(monkeypatch):
+    calls = []
+    max_flow = Dinic.max_flow
+
+    def counted(self, s, t):
+        calls.append(1)
+        return max_flow(self, s, t)
+
+    monkeypatch.setattr(Dinic, "max_flow", counted)
+    # pdw(m) is densest as a whole: 4m edges on 2m+2 vertices
+    assert mad_exact(pdw(100)).mad == Fraction(2 * 400, 202)
+    assert len(calls) <= 2
 
 
 def test_monotone_under_edge_addition():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, unicyclic
 from orientkit.density import mad_exact
 from orientkit.errors import (
     MinDegreeTooSmallError,
@@ -32,6 +32,11 @@ def test_c4_one_orientation_is_directed_cycle():
     sigma = k_orientation(g, 1)
     assert isinstance(sigma, Orientation)
     assert indegrees(sigma) == (1, 1, 1, 1)
+
+
+def test_one_orientation_with_long_augmenting_paths():
+    g = unicyclic(601)
+    assert verify_orientation(g, k_orientation(g, 1)).max_indegree == 1
 
 
 def test_q3_one_orientation_infeasible():
