@@ -1,6 +1,6 @@
 """orientkit: proper orientations of bipartite planar graphs.
 
-Flow-based k-orientations, the switching construction for proper
+k-orientations by path reversal, the switching construction for proper
 (k+1)-orientations, exact maximum average degree, exact proper-orientation
 numbers at desk scale, instance generators, and the tightness certificate
 for the minimum-degree-2 family.

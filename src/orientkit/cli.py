@@ -219,6 +219,14 @@ def _cmd_check_t4(args):
     return 0 if certified else 1
 
 
+def _int_option(text):
+    """Integer options follow the tokenizer rule of every text input."""
+    try:
+        return read_ints([text])[0]
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="orientkit",
@@ -236,12 +244,12 @@ def build_parser():
     p = add("mad", _cmd_mad, help="exact maximum average degree with witness")
     p.add_argument("input", nargs="?", help="edge-list file (default stdin)")
 
-    p = add("orient", _cmd_orient, help="k-orientation via max flow")
-    p.add_argument("-k", type=int, required=True)
+    p = add("orient", _cmd_orient, help="k-orientation by path reversal")
+    p.add_argument("-k", type=_int_option, required=True)
     p.add_argument("input", nargs="?")
 
     p = add("proper", _cmd_proper, help="proper (k+1)-orientation by switching")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_int_option, required=True)
     p.add_argument("--x-class", choices=["auto", "0", "1"], default="auto")
     p.add_argument("input", nargs="?")
 
@@ -249,19 +257,19 @@ def build_parser():
     p.add_argument("input", nargs="?")
 
     p = add("exact", _cmd_exact, help="exact proper orientation number")
-    p.add_argument("--kmax", type=int, default=6)
+    p.add_argument("--kmax", type=_int_option, default=6)
     p.add_argument("input", nargs="?")
 
     p = add("quad", _cmd_quad, help="quadrangulation dichotomy (3, or 2 for the cube)")
     p.add_argument("input", nargs="?")
 
     p = add("cnf", _cmd_cnf, help="DIMACS CNF for a proper k-orientation")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_int_option, required=True)
     p.add_argument("-o", "--output")
     p.add_argument("input", nargs="?")
 
     p = add("decode", _cmd_decode, help="decode a SAT model back to an orientation")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_int_option, required=True)
     p.add_argument("--model", required=True)
     p.add_argument("input", nargs="?")
 
@@ -278,7 +286,7 @@ def build_parser():
     p.add_argument("input", nargs="?")
 
     p = add("check-t4", _cmd_check_t4, help="tightness certificate for the delta=2 instance")
-    p.add_argument("--extra", type=int, default=0)
+    p.add_argument("--extra", type=_int_option, default=0)
     p.add_argument("--emit-witness")
 
     return parser

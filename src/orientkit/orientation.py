@@ -1,12 +1,24 @@
-"""Orientations: flow-based k-orientations, the switching construction for
-bipartite graphs, and the independent verifier.
+"""Orientations: k-orientations by path reversal, the switching construction
+for bipartite graphs, and the independent verifier.
 
-One network answers every orientation question here and in ``density``:
-source -> one node per edge (capacity ``units``) -> both endpoints
-(capacity ``units``) -> sink (capacity ``cap`` per vertex).  Every unit fits
-iff no vertex set H has units*|E(G[H])| > cap*|H|, and when one does not
-fit, the source side of the min cut is such an H.  A k-orientation is the
-case units = 1, cap = k.
+``k_orientation`` is unit-capacity Dinic on G's own orientation, with no
+auxiliary network.  It starts from the listed orientation (edge (u, v) into
+v) and works in phases.  Each phase runs a BFS backwards along arcs, from
+every vertex with indegree above k to the tails of the arcs into it, and
+records levels.  From each such source a DFS with current-arc pointers then
+follows level-increasing arcs to the first vertex with indegree below k
+and reverses that path: only the two end indegrees change.
+
+Termination: a phase whose BFS reaches a vertex below k reverses at least
+one path, so the total excess over k strictly drops.
+
+Witness: when the BFS reaches no vertex below k, the reached set H holds
+the tail of every arc into H, no member is below k and the sources are
+above k, so |E(G[H])| = sum over H of indegree > k|H|.  Any set S has
+|E(S)| - k|S| <= sum over S of (indegree - k) <= the total excess over k,
+which H attains; equality needs S to hold every source and the tail of
+every arc into S, so S contains H.  H is thus the smallest maximiser of
+|E(H)| - k|H|, whatever order the paths were reversed in.
 """
 
 from __future__ import annotations
@@ -22,7 +34,6 @@ from .errors import (
     PreconditionMadError,
     SizeMismatchError,
 )
-from .flow import Dinic
 from .graphs import Graph, X, bipartition, min_degree
 
 
@@ -67,37 +78,60 @@ class OrientationReport:
     violations: tuple  # edge indices whose endpoints tie on indegree
 
 
-def _spread(g, units, cap):
-    """Send units from each edge to its endpoints, at most cap into a vertex.
-
-    Returns (loads, None) when every unit fits, loads[i] being what edge i
-    puts on its second endpoint; otherwise (None, H) with H the vertices on
-    the source side of the min cut, so that units*|E(G[H])| > cap*|H|.
-    """
-    m, n = g.m, g.n
-    source, sink = 0, 1 + m + n
-    net = Dinic(2 + m + n)
-    to_head = []  # arc id of edge-node -> second endpoint, per edge
-    for i, (u, v) in enumerate(g.edges):
-        net.add_edge(source, 1 + i, units)
-        net.add_edge(1 + i, 1 + m + u, units)
-        to_head.append(net.add_edge(1 + i, 1 + m + v, units))
-    for v in range(n):
-        net.add_edge(1 + m + v, sink, cap)
-    if net.max_flow(source, sink) < units * m:
-        cut = net.min_cut_source_side(source)
-        return None, tuple(v for v in range(n) if (1 + m + v) in cut)
-    return [net.flow_on(arc) for arc in to_head], None
-
-
 def k_orientation(g, k):
     """An orientation with all indegrees <= k, or Infeasible with witness."""
     if k < 0:
         raise BadParamsError(f"k must be >= 0, got {k}")
-    loads, witness = _spread(g, 1, k)
-    if loads is None:
-        return Infeasible(k=k, witness=witness)
-    return Orientation(graph=g, direction=tuple(load > 0 for load in loads))
+    n, adjacency = g.n, g.adjacency
+    head = [v for _, v in g.edges]  # edge i = (u, v) starts as the arc u -> v
+    flip = [u ^ v for u, v in g.edges]  # head[i] ^ flip[i] is edge i's tail
+    indeg = [0] * n
+    for v in head:
+        indeg[v] += 1
+    while True:
+        sources = [v for v in range(n) if indeg[v] > k]
+        if not sources:
+            return Orientation(
+                graph=g, direction=tuple(h == v for h, (_, v) in zip(head, g.edges))
+            )
+        # BFS backwards along arcs: from a head to the tails of the arcs into it
+        level = [-1] * n
+        for s in sources:
+            level[s] = 0
+        reached, slack = list(sources), False
+        for x in reached:
+            up = level[x] + 1
+            for w, i in adjacency[x]:
+                if head[i] == x and level[w] < 0:
+                    level[w] = up
+                    reached.append(w)
+                    slack = slack or indeg[w] < k
+        if not slack:
+            return Infeasible(k=k, witness=tuple(sorted(reached)))
+        # From each source, reverse level-increasing paths that end at the
+        # first slack vertex they meet; a dead end leaves the level graph.
+        nxt = [0] * n  # current-arc pointer per vertex
+        for s in sources:
+            path, x = [], s  # path: the edge ids walked from s to x
+            while indeg[s] > k:
+                arcs, j, up = adjacency[x], nxt[x], level[x] + 1
+                while j < len(arcs) and (head[arcs[j][1]] != x or level[arcs[j][0]] != up):
+                    j += 1
+                nxt[x] = j
+                if j == len(arcs):
+                    if not path:
+                        break
+                    level[x] = -1
+                    x = head[path.pop()]
+                    continue
+                x, i = arcs[j]
+                path.append(i)
+                if indeg[x] < k:
+                    for i in path:
+                        head[i] ^= flip[i]
+                    indeg[s] -= 1
+                    indeg[x] += 1
+                    path, x = [], s
 
 
 def proper_bipartite_orientation(g, part, x_class, k):

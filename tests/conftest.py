@@ -1,7 +1,8 @@
 """Shared oracles and instance builders for the test suite.
 
 The oracles here are deliberately independent of the library's algorithms:
-Mad by subset enumeration, properness by trying all 2^|E| orientations.
+Mad and k-orientation witnesses by subset enumeration, properness by
+trying all 2^|E| orientations.
 """
 
 from __future__ import annotations
@@ -38,6 +39,20 @@ def brute_force_densest(g):
     return largest
 
 
+def brute_force_k_witness(g, k):
+    """The smallest vertex subset H maximising |E(G[H])| - k|H|, as a sorted
+    tuple; () when no subset beats the empty one, i.e. a k-orientation
+    exists (Hakimi)."""
+    best, smallest = 0, ()
+    for size in range(1, g.n + 1):
+        for subset in combinations(range(g.n), size):
+            vs = set(subset)
+            inside = sum(1 for u, v in g.edges if u in vs and v in vs)
+            if inside - k * size > best:  # sizes ascend, so ties keep the smallest
+                best, smallest = inside - k * size, subset
+    return smallest
+
+
 def brute_force_exists_proper_k(g, k):
     """Scan all 2^|E| orientations for a proper one with max indegree <= k."""
     m = g.m
@@ -57,6 +72,16 @@ def unicyclic(n):
     far end of a long tail, so augmenting paths are about n nodes long."""
     edges = tuple((i + 1, i) for i in range(n - 1)) + ((n - 1, n - 4),)
     return Graph(n=n, edges=edges)
+
+
+def relabel(rng, g):
+    """g with shuffled vertex ids, edge order and endpoint order."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
+             for u, v in g.edges]
+    rng.shuffle(edges)
+    return Graph(n=g.n, edges=tuple(edges), planar_asserted=g.planar_asserted)
 
 
 def random_connected_graph(rng, n):

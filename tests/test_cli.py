@@ -1,12 +1,14 @@
 import contextlib
 import io
+import random
 from unittest import mock
 
 import pytest
 
+from conftest import relabel
 from orientkit.cli import run
 from orientkit.graphs import parse_graph
-from orientkit.generators import q3, cycle
+from orientkit.generators import q3, cycle, pdw
 from orientkit.graphs import serialize_graph
 
 
@@ -183,6 +185,33 @@ def test_error_exit_codes(case, tmp_path, capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     if line is not None:
         assert f"line {line}" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["orient", "-k", "1_0"], "-k"),
+    (["orient", "-k", "\u0661"], "-k"),
+    (["exact", "--kmax", "+4"], "--kmax"),
+    (["check-t4", "--extra", "0_1"], "--extra"),
+])
+def test_integer_options_follow_the_tokenizer_rule(argv, option, capsys, monkeypatch):
+    feed(monkeypatch, C4)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"argument {option}: expected an integer" in err
+
+
+def test_proper3_relabelled_pdw(tmp_path, capsys, monkeypatch):
+    g = relabel(random.Random(10000), pdw(10000))
+    feed(monkeypatch, serialize_graph(g))
+    assert run(["proper3"]) == 0
+    sigma = tmp_path / "sigma.txt"
+    sigma.write_text(capsys.readouterr().out)
+    feed(monkeypatch, serialize_graph(g))
+    assert run(["verify", "--orientation", str(sigma)]) == 0
+    assert capsys.readouterr().out == "proper=true max_indegree=3\n"
 
 
 def test_decode_skips_dimacs_comment_and_status_lines(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from conftest import random_connected_graph, unicyclic
+from conftest import (
+    brute_force_k_witness,
+    brute_force_mad,
+    random_connected_graph,
+    relabel,
+    unicyclic,
+)
 from orientkit.density import mad_exact
 from orientkit.errors import (
     MinDegreeTooSmallError,
@@ -12,7 +19,7 @@ from orientkit.errors import (
     SizeMismatchError,
 )
 from orientkit.generators import cycle, pdw, q3, star
-from orientkit.graphs import X, bipartition, parse_graph
+from orientkit.graphs import Graph, X, bipartition, parse_graph
 from orientkit.orientation import (
     Infeasible,
     Orientation,
@@ -37,6 +44,50 @@ def test_c4_one_orientation_is_directed_cycle():
 def test_one_orientation_with_long_augmenting_paths():
     g = unicyclic(601)
     assert verify_orientation(g, k_orientation(g, 1)).max_indegree == 1
+
+
+def test_k_orientation_builds_no_flow_network(monkeypatch):
+    def no_flow(*args):
+        raise AssertionError("k_orientation ran a max flow")
+
+    monkeypatch.setattr("orientkit.flow.Dinic.max_flow", no_flow)
+    g = relabel(random.Random(300), pdw(300))
+    result = k_orientation(g, 1)
+    assert isinstance(result, Infeasible)
+    vs = set(result.witness)
+    assert sum(1 for u, v in g.edges if u in vs and v in vs) > len(vs)
+    assert verify_orientation(g, k_orientation(g, 2)).max_indegree <= 2
+    report = verify_orientation(g, proper_three_orientation(g))
+    assert report.proper and report.max_indegree == 3
+
+
+def test_witness_is_smallest_maximiser_relabelled():
+    rng = random.Random(11)
+    infeasible = [0] * 4
+    for _ in range(200):
+        n, p = rng.randint(2, 10), rng.choice([0.3, 0.6, 0.9])
+        edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+        g = relabel(rng, Graph(n=n, edges=tuple(edges)))
+        for k in range(4):
+            result = k_orientation(g, k)
+            expected = brute_force_k_witness(g, k)
+            if isinstance(result, Infeasible):
+                assert result.witness == expected
+                infeasible[k] += 1
+            else:
+                assert expected == ()
+                assert verify_orientation(g, result).max_indegree <= k
+    assert min(infeasible) > 0 and sum(infeasible) > 300
+
+
+def test_hakimi_equivalence_relabelled():
+    rng = random.Random(12)
+    for _ in range(30):
+        g = relabel(rng, random_connected_graph(rng, rng.randint(2, 8)))
+        mad = brute_force_mad(g)
+        for k in range(5):
+            feasible = not isinstance(k_orientation(g, k), Infeasible)
+            assert feasible == (mad <= 2 * k)
 
 
 def test_q3_one_orientation_infeasible():
