@@ -1,10 +1,11 @@
 """Exact maximum average degree and pseudoarboricity.
 
-Mad(G) = max over subgraphs H of 2|E(H)|/|V(H)|.  At a density lam = p/q
-the flow network of ``_spread`` with 2q units per edge and capacity p per
-vertex fits every unit iff no subgraph is denser than lam; otherwise its
-min cut gives a subgraph H that maximizes 2|E(H)| - lam*|H|, the smallest
-such one, and so denser than lam.
+Mad(G) = max over subgraphs H of 2|E(H)|/|V(H)|.  At a density lam = p/q,
+``orientation._spread`` splits 2q units per edge between its endpoints
+with at most p on a vertex.  It places every unit iff no subgraph is denser
+than lam (Hakimi); otherwise its BFS-reached set H is the smallest
+maximiser of 2q|E(H)| - p|H|, and so denser than lam.  This is Goldberg's
+test, run on G itself.
 
 Dinkelbach's iteration starts at the whole graph's density and moves lam
 to the density of each H found, until nothing is denser: lam is then Mad.
@@ -24,8 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyEdgeSetError
-from .flow import Dinic
-from .orientation import Infeasible, k_orientation
+from .orientation import Infeasible, _spread, k_orientation
 
 
 @dataclass(frozen=True)
@@ -41,36 +41,13 @@ def subgraph_density(g, vertices):
     return Fraction(2 * inside, len(vs))
 
 
-def _spread(g, units, cap):
-    """Send units from each edge to its endpoints, at most cap into a vertex.
-
-    Network: source -> one node per edge (capacity units) -> both endpoints
-    (capacity units) -> sink (capacity cap per vertex).  Returns None when
-    every unit fits, otherwise the vertices H on the source side of the min
-    cut, so that units*|E(G[H])| > cap*|H|.
-    """
-    m, n = g.m, g.n
-    source, sink = 0, 1 + m + n
-    net = Dinic(2 + m + n)
-    for i, (u, v) in enumerate(g.edges):
-        net.add_edge(source, 1 + i, units)
-        net.add_edge(1 + i, 1 + m + u, units)
-        net.add_edge(1 + i, 1 + m + v, units)
-    for v in range(n):
-        net.add_edge(1 + m + v, sink, cap)
-    if net.max_flow(source, sink) == units * m:
-        return None
-    cut = net.min_cut_source_side(source)
-    return tuple(v for v in range(n) if (1 + m + v) in cut)
-
-
 def mad_exact(g):
     """Exact Mad with the maximal densest induced-subgraph witness."""
     if g.m == 0:
         raise EmptyEdgeSetError("Mad needs at least one edge")
     lam, witness = Fraction(2 * g.m, g.n), tuple(range(g.n))
     while True:
-        denser = _spread(g, 2 * lam.denominator, lam.numerator)
+        _, denser = _spread(g, 2 * lam.denominator, lam.numerator)
         if denser is None:
             return DensityReport(mad=lam, witness=witness)
         density = subgraph_density(g, denser)

@@ -35,7 +35,6 @@ def exists_proper_k(g, k):
     order = sorted(range(m), key=lambda i: (-(deg[g.edges[i][0]] + deg[g.edges[i][1]]), i))
     indeg = [0] * g.n
     undecided = deg[:]
-    direction = [False] * m
 
     def conflicts(w):
         # w just became fully decided; ties with decided neighbors are final
@@ -46,30 +45,40 @@ def exists_proper_k(g, k):
                 return True
         return False
 
-    def search(pos):
-        if pos == m:
-            return True
-        u, v = g.edges[order[pos]]
-        for bit in (True, False):
-            head = v if bit else u
-            indeg[head] += 1
-            undecided[u] -= 1
-            undecided[v] -= 1
-            ok = indeg[head] <= k
-            if ok and undecided[u] == 0 and conflicts(u):
-                ok = False
-            if ok and undecided[v] == 0 and conflicts(v):
-                ok = False
-            if ok and search(pos + 1):
-                direction[order[pos]] = bit
-                return True
-            indeg[head] -= 1
+    # a loop over positions in the order, not recursion, so a long graph
+    # cannot exhaust the stack; bits[pos] is 0 while the edge there points
+    # at its second endpoint, 1 while it points at its first
+    ends = [g.edges[i] for i in order]
+    bits = [0] * m
+    pos, bit = 0, 0
+    while pos < m:
+        u, v = ends[pos]
+        head = u if bit else v
+        indeg[head] += 1
+        undecided[u] -= 1
+        undecided[v] -= 1
+        if (indeg[head] <= k
+                and not (undecided[u] == 0 and conflicts(u))
+                and not (undecided[v] == 0 and conflicts(v))):
+            bits[pos] = bit
+            pos, bit = pos + 1, 0
+            continue
+        indeg[head] -= 1
+        undecided[u] += 1
+        undecided[v] += 1
+        while bit:  # both bits failed: back up to a position still on its first bit
+            pos -= 1
+            if pos < 0:
+                return None
+            u, v = ends[pos]
+            bit = bits[pos]
+            indeg[u if bit else v] -= 1
             undecided[u] += 1
             undecided[v] += 1
-        return False
-
-    if not search(0):
-        return None
+        bit = 1
+    direction = [False] * m
+    for p, i in enumerate(order):
+        direction[i] = not bits[p]
     return Orientation(graph=g, direction=tuple(direction))
 
 

@@ -1,26 +1,36 @@
 """Orientations: k-orientations by path reversal, the switching construction
 for bipartite graphs, and the independent verifier.
 
-``k_orientation`` is unit-capacity Dinic on G's own orientation, with no
-auxiliary network.  It starts from the listed orientation (edge (u, v) into
-v) and works in phases.  Each phase runs a BFS backwards along arcs, from
-every vertex with indegree above k to the tails of the arcs into it, and
-records levels.  From each such source a DFS with current-arc pointers then
-follows level-increasing arcs to the first vertex with indegree below k
-and reverses that path: only the two end indegrees change.
+``_spread(g, units, cap)`` is the one engine for Hakimi's question "has
+any subgraph H more than cap/units edges per vertex?", asked of G itself
+with no auxiliary network (Goldberg's density test).  Each edge i = (u, v)
+splits ``units`` between its endpoints; a vertex may hold at most ``cap``.
+It starts with ceil(units/2) on v and floor(units/2) on u, so with
+units = 1 the start is the listed orientation (edge (u, v) into v), and
+``k_orientation`` is ``_spread(g, 1, k)``; the Mad test at p/q is
+``_spread(g, 2q, p)``.
 
-Termination: a phase whose BFS reaches a vertex below k reverses at least
-one path, so the total excess over k strictly drops.
+The engine is Dinic's algorithm in phases.  Each phase runs a BFS from
+every vertex holding more than cap, stepping from x to the other end w of
+each edge that has units on x, and records levels.  From each such source
+a DFS with current-arc pointers then follows level-increasing steps to the
+first vertex below cap and moves delta units along that path: the least of
+the source's excess, the end's slack and each path edge's units on its
+near end.  Only the two end totals change.
 
-Witness: when the BFS reaches no vertex below k, the reached set H holds
-the tail of every arc into H, no member is below k and the sources are
-above k, so |E(G[H])| = sum over H of indegree > k|H|.  Any set S has
-|E(S)| - k|S| <= sum over S of (indegree - k) <= the total excess over k,
-which H attains; equality needs S to hold every source and the tail of
-every arc into S, so S contains H.  H is thus the smallest maximiser of
-|E(H)| - k|H|, whatever order the paths were reversed in.
+Termination: delta >= 1 is an integer and a phase whose BFS reaches a
+vertex below cap moves units along at least one path, so the total excess
+over cap strictly drops.
+
+Witness: when the BFS reaches no vertex below cap, every edge with units
+on a member of the reached set H has both ends in H, no member is below
+cap and the sources are above it, so units*|E(H)| = sum over H of the
+units held > cap*|H|.  Any set S has units*|E(S)| - cap*|S| <= sum over S
+of (held - cap) <= the total excess over cap, which H attains; equality
+needs S to hold every source and the other end of every edge with units on
+S, so S contains H.  H is thus the smallest maximiser of
+units*|E(H)| - cap*|H|, whatever order the paths were taken in.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -78,23 +88,29 @@ class OrientationReport:
     violations: tuple  # edge indices whose endpoints tie on indegree
 
 
-def k_orientation(g, k):
-    """An orientation with all indegrees <= k, or Infeasible with witness."""
-    if k < 0:
-        raise BadParamsError(f"k must be >= 0, got {k}")
+def _spread(g, units, cap):
+    """Split each edge's units between its endpoints, at most cap per vertex.
+
+    Returns (load, None), where load[i] is the number of units edge
+    i = (u, v) puts on v, or (None, H) with H the sorted BFS-reached set,
+    for which units*|E(G[H])| > cap*|H|.
+    """
     n, adjacency = g.n, g.adjacency
-    head = [v for _, v in g.edges]  # edge i = (u, v) starts as the arc u -> v
-    flip = [u ^ v for u, v in g.edges]  # head[i] ^ flip[i] is edge i's tail
-    indeg = [0] * n
-    for v in head:
-        indeg[v] += 1
+    second = [v for _, v in g.edges]
+    flip = [u ^ v for u, v in g.edges]  # x ^ flip[i] is edge i's other end
+    lo, hi = units // 2, units - units // 2
+    load = [hi] * g.m
+    # bare[i]: the end of edge i that holds none of its units, else -1
+    bare = [u for u, _ in g.edges] if lo == 0 else [-1] * g.m
+    held = [0] * n
+    for u, v in g.edges:
+        held[u] += lo
+        held[v] += hi
     while True:
-        sources = [v for v in range(n) if indeg[v] > k]
+        sources = [x for x in range(n) if held[x] > cap]
         if not sources:
-            return Orientation(
-                graph=g, direction=tuple(h == v for h, (_, v) in zip(head, g.edges))
-            )
-        # BFS backwards along arcs: from a head to the tails of the arcs into it
+            return load, None
+        # BFS from x to the other end w of each edge with units on x
         level = [-1] * n
         for s in sources:
             level[s] = 0
@@ -102,36 +118,62 @@ def k_orientation(g, k):
         for x in reached:
             up = level[x] + 1
             for w, i in adjacency[x]:
-                if head[i] == x and level[w] < 0:
+                if bare[i] != x and level[w] < 0:
                     level[w] = up
                     reached.append(w)
-                    slack = slack or indeg[w] < k
+                    slack = slack or held[w] < cap
         if not slack:
-            return Infeasible(k=k, witness=tuple(sorted(reached)))
-        # From each source, reverse level-increasing paths that end at the
-        # first slack vertex they meet; a dead end leaves the level graph.
+            return None, tuple(sorted(reached))
+        # From each source, move units along level-increasing paths that end
+        # at the first slack vertex they meet; a dead end leaves the level graph.
         nxt = [0] * n  # current-arc pointer per vertex
         for s in sources:
             path, x = [], s  # path: the edge ids walked from s to x
-            while indeg[s] > k:
+            while held[s] > cap:
                 arcs, j, up = adjacency[x], nxt[x], level[x] + 1
-                while j < len(arcs) and (head[arcs[j][1]] != x or level[arcs[j][0]] != up):
+                while j < len(arcs) and (bare[arcs[j][1]] == x or level[arcs[j][0]] != up):
                     j += 1
                 nxt[x] = j
                 if j == len(arcs):
                     if not path:
                         break
                     level[x] = -1
-                    x = head[path.pop()]
+                    x ^= flip[path.pop()]
                     continue
                 x, i = arcs[j]
                 path.append(i)
-                if indeg[x] < k:
+                if held[x] < cap:
+                    delta, y = held[s] - cap, s
+                    if delta > cap - held[x]:
+                        delta = cap - held[x]
+                    if delta > 1:  # every path edge has >= 1 unit on its near end
+                        for i in path:
+                            near = load[i] if y == second[i] else units - load[i]
+                            if delta > near:
+                                delta = near
+                            y ^= flip[i]
+                        y = s
                     for i in path:
-                        head[i] ^= flip[i]
-                    indeg[s] -= 1
-                    indeg[x] += 1
+                        if y == second[i]:
+                            load[i] -= delta
+                            bare[i] = -1 if load[i] else y
+                        else:
+                            load[i] += delta
+                            bare[i] = -1 if load[i] < units else y
+                        y ^= flip[i]
+                    held[s] -= delta
+                    held[x] += delta
                     path, x = [], s
+
+
+def k_orientation(g, k):
+    """An orientation with all indegrees <= k, or Infeasible with witness."""
+    if k < 0:
+        raise BadParamsError(f"k must be >= 0, got {k}")
+    load, witness = _spread(g, 1, k)
+    if witness is not None:
+        return Infeasible(k=k, witness=witness)
+    return Orientation(graph=g, direction=tuple(map(bool, load)))
 
 
 def proper_bipartite_orientation(g, part, x_class, k):

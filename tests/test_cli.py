@@ -214,6 +214,15 @@ def test_proper3_relabelled_pdw(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == "proper=true max_indegree=3\n"
 
 
+def test_exact_on_a_long_path(capsys, monkeypatch):
+    assert run(["gen", "path:1500"]) == 0
+    feed(monkeypatch, capsys.readouterr().out)
+    assert run(["exact", "--kmax", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "chi_orient = 2\n"
+    assert captured.err == ""
+
+
 def test_decode_skips_dimacs_comment_and_status_lines(tmp_path, capsys, monkeypatch):
     model = tmp_path / "model.txt"
     model.write_text("c solved\ns SATISFIABLE\nv 1 2\nv 3 4 0\n")

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from conftest import brute_force_densest, brute_force_mad, random_connected_graph, unicyclic
+from conftest import brute_force_densest, brute_force_mad, random_connected_graph, relabel, unicyclic
+from orientkit import density
 from orientkit.density import mad_exact, pseudoarboricity, subgraph_density
 from orientkit.errors import EmptyEdgeSetError
 from orientkit.flow import Dinic
@@ -104,6 +106,68 @@ def test_mad_needs_at_most_two_flows(monkeypatch):
     # pdw(m) is densest as a whole: 4m edges on 2m+2 vertices
     assert mad_exact(pdw(100)).mad == Fraction(2 * 400, 202)
     assert len(calls) <= 2
+
+
+def test_mad_needs_at_most_two_engine_calls(monkeypatch):
+    calls = []
+    spread = density._spread
+
+    def counted(g, units, cap):
+        calls.append((units, cap))
+        return spread(g, units, cap)
+
+    monkeypatch.setattr(density, "_spread", counted)
+    assert mad_exact(pdw(100)).mad == Fraction(2 * 400, 202)
+    assert 1 <= len(calls) <= 2
+
+
+def test_mad_runs_no_max_flow(monkeypatch):
+    def no_flow(*args):
+        raise AssertionError("mad_exact ran a max flow")
+
+    monkeypatch.setattr("orientkit.flow.Dinic.max_flow", no_flow)
+    assert mad_exact(pdw(100)).mad == Fraction(2 * 400, 202)
+    # K(5,6) on 0..10 (density 60/11) with a 60-vertex path hanging off vertex
+    # 10: each tail vertex adds one edge, so the block alone is densest
+    rng = random.Random(56)
+    perm = list(range(71))
+    rng.shuffle(perm)
+    block = [(a, b) for a in range(5) for b in range(5, 11)]
+    tail = [(10 + i, 11 + i) for i in range(60)]
+    edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
+             for u, v in block + tail]
+    rng.shuffle(edges)
+    report = mad_exact(Graph(n=71, edges=tuple(edges)))
+    assert report.mad == Fraction(60, 11)
+    assert report.witness == tuple(sorted(perm[:11]))
+    report = mad_exact(unicyclic(601))
+    assert report.mad == Fraction(2)
+    assert report.witness == tuple(range(601))
+
+
+def test_relabelled_pdw_is_densest_as_a_whole():
+    # pdw(2000): 8000 edges on 4002 vertices, densest as a whole
+    g = relabel(random.Random(2000), pdw(2000))
+    report = mad_exact(g)
+    assert report.mad == Fraction(2 * 8000, 4002)
+    assert report.witness == tuple(range(4002))
+
+
+def test_witness_matches_brute_force_relabelled():
+    rng = random.Random(19)
+    for _ in range(60):
+        n = rng.randint(2, 9)
+        if rng.random() < 0.5:
+            g = random_connected_graph(rng, n)
+        else:
+            p = rng.choice([0.3, 0.6, 0.9])
+            g = Graph(n=n, edges=tuple(e for e in combinations(range(n), 2) if rng.random() < p))
+        g = relabel(rng, g)
+        if g.m == 0:
+            continue
+        report = mad_exact(g)
+        assert report.mad == brute_force_mad(g)
+        assert report.witness == brute_force_densest(g)
 
 
 def test_monotone_under_edge_addition():

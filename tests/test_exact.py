@@ -140,3 +140,12 @@ def test_number_edgeless_is_zero():
     result = proper_orientation_number(parse_graph("3 0\n"), 4)
     assert result.value == 0
     assert verify_orientation(result.witness.graph, result.witness).proper
+
+
+def test_long_path_needs_no_recursion():
+    # 1500 vertices: a proper 1-orientation alternates indegrees 0 and 1, which
+    # sum to 750, not 1499 edges; at k = 2 one exists
+    g = path(1500)
+    report = verify_orientation(g, exists_proper_k(g, 2))
+    assert report.proper and report.max_indegree == 2
+    assert exists_proper_k(g, 1) is None
