@@ -138,6 +138,10 @@ def decode_model(g, k, assignment):
 def dpll(clauses, num_vars):
     """Complete DPLL with unit propagation; returns a model literal list or None.
 
+    Decisions live on an explicit stack, so long instances cannot exhaust
+    Python's recursion limit.  Branching takes the lowest unassigned
+    variable, True before False.
+
     Meant for the small cross-check instances, not as a production solver.
     """
     assign = {}
@@ -169,24 +173,30 @@ def dpll(clauses, num_vars):
             if not changed:
                 return True
 
-    def solve():
-        trail = []
-        if not propagate(trail):
-            for var in trail:
-                del assign[var]
-            return False
-        var = next((v for v in range(1, num_vars + 1) if v not in assign), None)
-        if var is None:
-            return True
-        for value in (True, False):
-            assign[var] = value
-            if solve():
-                return True
-            del assign[var]
+    # one frame per open decision: its variable and the trail of the
+    # propagation before it; the variable is tried True, then False
+    frames = []
+    trail = []
+    while True:
+        if propagate(trail):
+            var = next((v for v in range(1, num_vars + 1) if v not in assign), None)
+            if var is None:
+                return [v if assign[v] else -v for v in range(1, num_vars + 1)]
+            frames.append((var, trail))
+            assign[var] = True
+            trail = []
+            continue
         for var in trail:
             del assign[var]
-        return False
-
-    if not solve():
-        return None
-    return [v if assign.get(v, False) else -v for v in range(1, num_vars + 1)]
+        while True:  # back up to the deepest decision still on True
+            if not frames:
+                return None
+            var, trail = frames[-1]
+            if assign[var]:
+                assign[var] = False
+                break
+            frames.pop()
+            del assign[var]
+            for v in trail:
+                del assign[v]
+        trail = []

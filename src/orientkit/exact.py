@@ -5,6 +5,16 @@ The search is complete backtracking over edge directions in a fixed order
 (descending endpoint-degree sum, ties by edge index).  Pruning: a vertex's
 indegree may never exceed k, and two adjacent fully decided vertices may
 not tie.  The first witness in this order is deterministic.
+
+Before it searches, a counting argument may refute k outright.  In any
+orientation the indegrees sum to m, and in a proper k-orientation
+indeg(w) <= cap(w) = min(k, deg w).  On an edge uv with cap(u) = cap(v) = c
+the two indegrees differ, so indeg(u) + indeg(v) <= 2c - 1.  Hence for any
+matching M of such equal-cap edges, m <= sum(cap) - |M|; when that fails no
+proper k-orientation exists.  M is built greedily in the search order.  On
+pdw(m) at k = 2, sum(cap) = 4m + 4 is |E| + 4, so any |M| >= 5 refutes it;
+for m >= 8 every maximal matching is that large, in any labelling.
+The check only discards inputs with no solution, so witnesses are unchanged.
 """
 
 from __future__ import annotations
@@ -33,6 +43,19 @@ def exists_proper_k(g, k):
         return Orientation(graph=g, direction=())
     deg = g.degrees()
     order = sorted(range(m), key=lambda i: (-(deg[g.edges[i][0]] + deg[g.edges[i][1]]), i))
+    ends = [g.edges[i] for i in order]
+
+    # the counting refutation of the module docstring, over a greedy matching
+    cap = [min(k, d) for d in deg]
+    matched = [False] * g.n
+    spare = sum(cap) - m
+    for u, v in ends:
+        if cap[u] == cap[v] and not (matched[u] or matched[v]):
+            matched[u] = matched[v] = True
+            spare -= 1
+    if spare < 0:
+        return None
+
     indeg = [0] * g.n
     undecided = deg[:]
 
@@ -48,7 +71,6 @@ def exists_proper_k(g, k):
     # a loop over positions in the order, not recursion, so a long graph
     # cannot exhaust the stack; bits[pos] is 0 while the edge there points
     # at its second endpoint, 1 while it points at its first
-    ends = [g.edges[i] for i in order]
     bits = [0] * m
     pos, bit = 0, 0
     while pos < m:

@@ -223,6 +223,16 @@ def test_exact_on_a_long_path(capsys, monkeypatch):
     assert captured.err == ""
 
 
+def test_exact_on_a_large_pseudo_double_wheel(capsys, monkeypatch):
+    # k = 2 is refuted by counting indegrees, k = 3 by a quick search
+    assert run(["gen", "pdw:200"]) == 0
+    feed(monkeypatch, capsys.readouterr().out)
+    assert run(["exact", "--kmax", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "chi_orient = 3\n"
+    assert captured.err == ""
+
+
 def test_decode_skips_dimacs_comment_and_status_lines(tmp_path, capsys, monkeypatch):
     model = tmp_path / "model.txt"
     model.write_text("c solved\ns SATISFIABLE\nv 1 2\nv 3 4 0\n")

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -96,3 +97,17 @@ def test_sat_agrees_on_random_bipartite():
             doc = export_cnf(g, k)
             sat = dpll(doc.clauses, doc.num_vars) is not None
             assert sat == (exists_proper_k(g, k) is not None)
+
+
+def test_dpll_needs_no_recursion():
+    # path(400) at k = 2 takes hundreds of decisions, far more than the limit
+    g = path(400)
+    doc = export_cnf(g, 2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        model = dpll(doc.clauses, doc.num_vars)
+    finally:
+        sys.setrecursionlimit(limit)
+    report = verify_orientation(g, decode_model(g, 2, model))
+    assert report.proper and report.max_indegree <= 2

@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from conftest import brute_force_exists_proper_k, random_bipartite_graph
+from conftest import (
+    brute_force_exists_proper_k,
+    random_bipartite_graph,
+    random_connected_graph,
+    relabel,
+)
 from orientkit.density import pseudoarboricity
 from orientkit.errors import ExceedsCapError, PreconditionFailedError
 from orientkit.exact import (
@@ -149,3 +154,40 @@ def test_long_path_needs_no_recursion():
     report = verify_orientation(g, exists_proper_k(g, 2))
     assert report.proper and report.max_indegree == 2
     assert exists_proper_k(g, 1) is None
+
+
+@pytest.mark.parametrize("m", range(4, 61))
+def test_pdw_has_no_proper_2_orientation(m):
+    # a closed form: the 2m + 2 vertices take indegree <= 2, and each edge of
+    # a perfect matching (the hub edges to 0 and 1, and the cycle edges
+    # (2i, 2i+1) for i = 1..m-1) has
+    # differing ends, so the indegrees sum to at most 3m + 3 < 4m = |E|
+    assert exists_proper_k(pdw(m), 2) is None
+
+
+@pytest.mark.parametrize("m", [16, 40])
+def test_relabelled_pdw_has_no_proper_2_orientation(m):
+    rng = random.Random(m)
+    for _ in range(5):
+        assert exists_proper_k(relabel(rng, pdw(m)), 2) is None
+
+
+@pytest.mark.parametrize("m", [4, 5, 16, 60])
+def test_pdw_proper_3_orientation(m):
+    g = pdw(m)
+    report = verify_orientation(g, exists_proper_k(g, 3))
+    assert report.proper and report.max_indegree == 3
+
+
+def test_agrees_with_brute_force_on_relabelled_random_graphs():
+    rng = random.Random(41)
+    checked = 0
+    while checked < 200:
+        g = random_connected_graph(rng, rng.randrange(4, 9))
+        if g.m > 14:
+            continue
+        g = relabel(rng, g)
+        for k in range(5):
+            found = exists_proper_k(g, k) is not None
+            assert found == brute_force_exists_proper_k(g, k), (g.edges, k)
+        checked += 1
