@@ -44,11 +44,24 @@ from .t4proof import (
 )
 
 
+def _open_input(path):
+    # undecodable bytes reach the tokenizer, which names their line
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
 def _read_text(args):
     if args.input and args.input != "-":
-        with open(args.input) as fh:
+        with _open_input(args.input) as fh:
             return fh.read()
     return sys.stdin.read()
+
+
+def _write_text(path, text):
+    if path and path != "-":
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _read_graph(args):
@@ -62,7 +75,7 @@ def _write_orientation(sigma, out=None):
 
 
 def _read_orientation(g, path):
-    with open(path) as fh:
+    with _open_input(path) as fh:
         arcs, line_numbers = read_pairs(fh)
     if len(arcs) != g.m:
         raise ParseError(f"orientation file has {len(arcs)} arcs, graph has {g.m} edges")
@@ -125,20 +138,14 @@ def _cmd_quad(args):
 
 def _cmd_cnf(args):
     g = _read_graph(args)
-    doc = export_cnf(g, args.k)
-    text = doc.to_dimacs()
-    if args.output and args.output != "-":
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.output, export_cnf(g, args.k).to_dimacs())
     return 0
 
 
 def _cmd_decode(args):
     g = _read_graph(args)
     literals = []
-    with open(args.model) as fh:
+    with _open_input(args.model) as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if parts and parts[0] in ("c", "s"):  # DIMACS comment and status lines
@@ -163,13 +170,7 @@ def _parse_family(token):
 
 def _cmd_gen(args):
     spec = _parse_family(args.family)
-    g = generate(spec)
-    text = serialize_graph(g)
-    if args.output and args.output != "-":
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.output, serialize_graph(generate(spec)))
     if args.id_table and spec.family == "theorem4":
         for role, (first, last) in theorem4_id_table(*spec.params).items():
             print(f"# {role}: {first}..{last}", file=sys.stderr)
@@ -230,8 +231,9 @@ def _int_option(text):
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="orientkit",
-        description="Proper orientations of bipartite planar graphs: flows, "
-        "switching, exact search, generators, and the tightness certificate.",
+        description="Proper orientations of bipartite planar graphs: path "
+        "reversal, switching, exact search, generators, and the tightness "
+        "certificate.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -307,6 +309,8 @@ def run(argv=None):
 
 
 def main():
+    if sys.stdin is not None:  # decode stdin like the input files, whatever the locale
+        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
     sys.exit(run())
 
 

@@ -17,10 +17,18 @@ Among the densest subgraphs, the one with the most vertices maximizes
 |H|(Mad - lam), so H is the union of all densest subgraphs: the unique
 maximal densest subgraph.  When the first test finds nothing, the whole
 vertex set is that union.
+
+Pseudoarboricity runs the same loop over the integers.  A k-orientation
+exists iff no subgraph has |E(H)| > k|H| (Hakimi), so the least such k is
+ceil(Mad/2).  Start at k = ceil(m/n); while ``k_orientation`` returns a
+witness H, set k = ceil(|E(H)|/|H|).  Since |E(H)| > k|H| every step
+strictly raises k, and since m/n and every |E(H)|/|H| are at most Mad/2, k
+never passes ceil(Mad/2), where the loop must stop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,11 +67,7 @@ def pseudoarboricity(g):
     """Least k admitting a k-orientation; equals ceil(Mad/2)."""
     if g.m == 0:
         return 0
-    lo, hi = 0, max(g.degrees())  # any orientation has indegrees <= max degree
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if isinstance(k_orientation(g, mid), Infeasible):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    k = -(-g.m // g.n)
+    while isinstance(result := k_orientation(g, k), Infeasible):
+        k = math.ceil(subgraph_density(g, result.witness) / 2)
+    return k

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from .density import pseudoarboricity
 from .errors import ExceedsCapError, NotBipartiteError, PreconditionFailedError
-from .generators import q3
 from .graphs import bipartition, connected_components, min_degree
 from .orientation import Orientation
 
@@ -118,34 +117,19 @@ def proper_orientation_number(g, k_max):
 
 
 def is_q3(g):
-    """Isomorphism to the 3-cube by bipartition-respecting permutation search.
+    """Isomorphism to the 3-cube.
 
-    Only attempted when n = 8 and G is 3-regular, so at most 2 * 4! * 4!
-    candidate maps are checked.
+    A 3-regular bipartite graph on 8 vertices has 12 edges, so each class
+    has 12/3 = 4 vertices: it is K_{4,4} minus a perfect matching, and that
+    is the cube.
     """
     if g.n != 8 or g.m != 12 or any(d != 3 for d in g.degrees()):
         return False
-    from itertools import permutations
-
     try:
-        part = bipartition(g)
+        bipartition(g)
     except NotBipartiteError:
         return False
-    ours_x = part.vertices_in("X")
-    ours_y = part.vertices_in("Y")
-    if len(ours_x) != 4:
-        return False
-    cube_even = [v for v in range(8) if bin(v).count("1") % 2 == 0]
-    cube_odd = [v for v in range(8) if bin(v).count("1") % 2 == 1]
-    target = {frozenset(e) for e in q3().edges}
-    for x_image, y_image in ((cube_even, cube_odd), (cube_odd, cube_even)):
-        for perm_x in permutations(x_image):
-            mapping = dict(zip(ours_x, perm_x))
-            for perm_y in permutations(y_image):
-                mapping.update(zip(ours_y, perm_y))
-                if all(frozenset((mapping[u], mapping[v])) in target for u, v in g.edges):
-                    return True
-    return False
+    return True
 
 
 def quadrangulation_number(g):

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 
 from conftest import relabel
-from orientkit.cli import run
+from orientkit.cli import main, run
 from orientkit.graphs import parse_graph
 from orientkit.generators import q3, cycle, pdw
 from orientkit.graphs import serialize_graph
@@ -168,6 +168,15 @@ ERROR_TABLE = {
     "verify-orientation-arc-count": (
         ["verify", "--orientation", "{sigma}"], C4, {"sigma": "1 0\n1 2\n"}, 2, None,
     ),
+    # a file that is not UTF-8: the byte 0xff reaches the tokenizer
+    "mad-file-not-utf8": (["mad", "{g}"], "", {"g": b"2 1\n0 \xff\n"}, 2, 2),
+    "verify-orientation-not-utf8": (
+        ["verify", "--orientation", "{sigma}"], C4,
+        {"sigma": b"1 0\n1 2\n\xff 2\n3 0\n"}, 2, 3,
+    ),
+    "decode-model-not-utf8": (
+        ["decode", "-k", "2", "--model", "{model}"], C4, {"model": b"v 1 \xff 0\n"}, 2, 1,
+    ),
 }
 
 
@@ -176,7 +185,10 @@ def test_error_exit_codes(case, tmp_path, capsys, monkeypatch):
     argv, stdin, files, code, line = ERROR_TABLE[case]
     paths = {}
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        if isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
+        else:
+            (tmp_path / name).write_text(text)
         paths[name] = str(tmp_path / name)
     feed(monkeypatch, stdin)
     assert run([arg.format(**paths) for arg in argv]) == code
@@ -185,6 +197,18 @@ def test_error_exit_codes(case, tmp_path, capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     if line is not None:
         assert f"line {line}" in err
+
+
+def test_stdin_that_is_not_utf8(capsys, monkeypatch):
+    # stdin decodes strictly under a UTF-8 locale; the byte 0xff must still
+    # reach the tokenizer
+    stdin = io.TextIOWrapper(io.BytesIO(b"2 1\n0 \xff\n"), encoding="utf-8", errors="strict")
+    monkeypatch.setattr("sys.stdin", stdin)
+    monkeypatch.setattr("sys.argv", ["orientkit", "mad"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: line 2: expected an integer, got '\\udcff'\n"
 
 
 @pytest.mark.parametrize("argv, option", [

@@ -121,14 +121,10 @@ def test_mad_needs_at_most_two_engine_calls(monkeypatch):
     assert 1 <= len(calls) <= 2
 
 
-def test_mad_runs_no_max_flow(monkeypatch):
-    def no_flow(*args):
-        raise AssertionError("mad_exact ran a max flow")
-
-    monkeypatch.setattr("orientkit.flow.Dinic.max_flow", no_flow)
-    assert mad_exact(pdw(100)).mad == Fraction(2 * 400, 202)
-    # K(5,6) on 0..10 (density 60/11) with a 60-vertex path hanging off vertex
-    # 10: each tail vertex adds one edge, so the block alone is densest
+def block_with_tail():
+    """K(5,6) on 0..10 (density 60/11) with a 60-vertex path hanging off
+    vertex 10, relabelled: each tail vertex adds one edge, so the block alone
+    is densest.  Returns the graph and the block's new ids."""
     rng = random.Random(56)
     perm = list(range(71))
     rng.shuffle(perm)
@@ -137,9 +133,19 @@ def test_mad_runs_no_max_flow(monkeypatch):
     edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
              for u, v in block + tail]
     rng.shuffle(edges)
-    report = mad_exact(Graph(n=71, edges=tuple(edges)))
+    return Graph(n=71, edges=tuple(edges)), perm[:11]
+
+
+def test_mad_runs_no_max_flow(monkeypatch):
+    def no_flow(*args):
+        raise AssertionError("mad_exact ran a max flow")
+
+    monkeypatch.setattr("orientkit.flow.Dinic.max_flow", no_flow)
+    assert mad_exact(pdw(100)).mad == Fraction(2 * 400, 202)
+    g, block = block_with_tail()
+    report = mad_exact(g)
     assert report.mad == Fraction(60, 11)
-    assert report.witness == tuple(sorted(perm[:11]))
+    assert report.witness == tuple(sorted(block))
     report = mad_exact(unicyclic(601))
     assert report.mad == Fraction(2)
     assert report.witness == tuple(range(601))
@@ -196,8 +202,37 @@ def test_pseudoarboricity_is_ceil_half_mad():
     rng = random.Random(23)
     graphs = [path(5), cycle(6), star(5), complete_bipartite(3, 3), pdw(4)]
     graphs += [random_connected_graph(rng, rng.randint(2, 8)) for _ in range(15)]
+    for _ in range(80):
+        n = rng.randint(2, 9)
+        if rng.random() < 0.5:
+            g = random_connected_graph(rng, n)
+        else:
+            p = rng.choice([0.3, 0.6, 0.9])
+            g = Graph(n=n, edges=tuple(e for e in combinations(range(n), 2) if rng.random() < p))
+        graphs.append(relabel(rng, g))
     for g in graphs:
         if g.m == 0:
             continue
-        mad = mad_exact(g).mad
+        mad = brute_force_mad(g)
         assert pseudoarboricity(g) == -(-mad.numerator // (2 * mad.denominator))
+
+
+@pytest.mark.parametrize("make, value, calls", [
+    # pdw(300) and theorem4(0) are bipartite planar, so every subgraph has
+    # |E(H)| <= 2|H| - 4 and k = ceil(m/n) = 2 is already feasible
+    (lambda: pdw(300), 2, 1),
+    (lambda: theorem4(0), 2, 1),
+    # ceil(90/71) = 2 fails on the block, ceil(30/11) = 3 succeeds
+    (lambda: block_with_tail()[0], 3, 2),
+], ids=["pdw(300)", "theorem4(0)", "block-with-tail"])
+def test_pseudoarboricity_engine_calls(monkeypatch, make, value, calls):
+    seen = []
+    k_orientation = density.k_orientation
+
+    def counted(g, k):
+        seen.append(k)
+        return k_orientation(g, k)
+
+    monkeypatch.setattr(density, "k_orientation", counted)
+    assert pseudoarboricity(make()) == value
+    assert len(seen) == calls

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -120,6 +121,47 @@ def test_is_q3():
         (i, i + 4) for i in range(4)
     )
     assert not is_q3(Graph(n=8, edges=wagner))
+
+
+def labelled_cubic_graphs(n):
+    """Every 3-regular simple graph on 0..n-1, each once: vertex v picks its
+    missing neighbours among the higher vertices that still have room."""
+    degree = [0] * n
+    edges = []
+
+    def extend(v):
+        if v == n:
+            yield tuple(edges)
+            return
+        room = [w for w in range(v + 1, n) if degree[w] < 3]
+        for chosen in combinations(room, 3 - degree[v]):
+            for w in chosen:
+                degree[w] += 1
+                edges.append((v, w))
+            yield from extend(v + 1)
+            for w in chosen:
+                degree[w] -= 1
+                edges.pop()
+
+    yield from extend(0)
+
+
+def test_is_q3_on_every_labelled_cubic_graph():
+    # 19355 labelled cubic graphs on 8 vertices (OEIS A002829); the cube has
+    # 48 automorphisms, so 8!/48 = 840 of them are cubes
+    cubes = {
+        frozenset(frozenset((perm[u], perm[v])) for u, v in q3().edges)
+        for perm in permutations(range(8))
+    }
+    assert len(cubes) == 840
+    accepted = set()
+    count = 0
+    for edges in labelled_cubic_graphs(8):
+        count += 1
+        if is_q3(Graph(n=8, edges=edges)):
+            accepted.add(frozenset(frozenset(e) for e in edges))
+    assert count == 19355
+    assert accepted == cubes
 
 
 def test_quadrangulation_number_q3():

@@ -41,6 +41,24 @@ def test_pigeonhole_counterexample_is_real():
     assert all(mask >> (2 * i) & 3 for i in range(7))  # no left vertex takes both
 
 
+def test_overflow_and_pigeonhole_share_one_predicate():
+    # recount every mask of K_{L,2}: a counterexample sends an arc from each
+    # left vertex into a hub and leaves both hubs at <= t - 1 arcs
+    for left in range(7):
+        masks = range(1 << (2 * left))
+        for t in range(1, 2 * left + 2):
+            expected = tuple(
+                mask for mask in masks
+                if all(mask >> (2 * i) & 3 for i in range(left))
+                and sum(mask >> (2 * i) & 1 for i in range(left)) <= t - 1
+                and sum(mask >> (2 * i + 1) & 1 for i in range(left)) <= t - 1
+            )
+            overflow = check_right_overflow(left, t)
+            assert overflow.counterexamples == expected
+            assert check_left_pigeonhole(left, t - 1).counterexamples == expected
+            assert overflow.enumerated_count == len(masks)
+
+
 def test_overflow_main_case():
     result = check_right_overflow(8, 4)
     assert result.ok
