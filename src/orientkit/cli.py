@@ -53,6 +53,8 @@ def _read_text(args):
     if args.input and args.input != "-":
         with _open_input(args.input) as fh:
             return fh.read()
+    if sys.stdin is None:  # the process was started with stdin closed
+        raise OSError("standard input is closed")
     return sys.stdin.read()
 
 

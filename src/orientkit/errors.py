@@ -76,14 +76,6 @@ class PreconditionMadError(OrientKitError):
         )
 
 
-class MinDegreeTooSmallError(OrientKitError):
-    pass
-
-
-class EdgeBoundViolatedError(OrientKitError):
-    pass
-
-
 class SizeMismatchError(OrientKitError):
     pass
 
@@ -97,11 +89,22 @@ class ExceedsCapError(OrientKitError):
 
 
 class PreconditionFailedError(OrientKitError):
-    """A gate of the quadrangulation decision failed; names the gate."""
+    """A gate of proper3 or the quadrangulation decision failed; names the gate."""
 
     def __init__(self, gate):
         self.gate = gate
         super().__init__(f"precondition failed: {gate}")
+
+
+class MinDegreeTooSmallError(PreconditionFailedError):
+    """Some vertex has degree < 3; ``degree`` is the minimum degree."""
+
+    def __init__(self, degree):
+        self.degree = degree
+        super().__init__("min degree >= 3")
+
+    def __str__(self):
+        return f"{super().__str__()}, got {self.degree}"
 
 
 class BadParamsError(OrientKitError, ValueError):

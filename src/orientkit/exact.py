@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from .density import pseudoarboricity
 from .errors import ExceedsCapError, NotBipartiteError, PreconditionFailedError
-from .graphs import bipartition, connected_components, min_degree
-from .orientation import Orientation
+from .graphs import bipartition, connected_components
+from .orientation import Orientation, proper_three_orientation
 
 
 @dataclass(frozen=True)
@@ -133,15 +133,28 @@ def is_q3(g):
 
 
 def quadrangulation_number(g):
-    """Proper orientation number of a quadrangulation with min degree >= 3:
-    2 when G is the 3-cube, 3 otherwise."""
+    """Proper orientation number of a connected bipartite graph with min
+    degree >= 3, |E| = 2n-4 and a 2-orientation: 2 when G is the 3-cube,
+    3 otherwise.  Every quadrangulation with min degree >= 3 is such a
+    graph, but the planar flag is never read.
+
+    Upper side: past the edge count, ``proper_three_orientation`` is the one
+    gate.  It checks bipartite, min degree >= 3 and the 2-orientation, and
+    the proper 3-orientation it builds witnesses value <= 3.
+
+    Lower side, with no planarity: every cap is min(2, deg) = 2, so by the
+    counting of the module docstring a proper 2-orientation needs
+    m = 2n-4 <= 2n - nu, where nu is the size of a largest matching; that is
+    nu <= 4.  By Koenig's theorem some vertex cover C then has |C| = nu <= 4.
+    The other n-4 or more vertices are independent and each sends at least
+    3 edges into C, so 3(n-4) <= m = 2n-4, which gives n <= 8.  Since
+    3n/2 <= m also forces n >= 8, G is a cubic bipartite graph on 8
+    vertices: the cube, whose value is 2.  Every other G has nu >= 5 and no
+    proper 2-orientation, so its value is 3.
+    """
     if len(connected_components(g)) != 1:
         raise PreconditionFailedError("connected")
-    bipartition(g)
-    if min_degree(g) < 3:
-        raise PreconditionFailedError("min degree >= 3")
-    if not g.planar_asserted:
-        raise PreconditionFailedError("planarity asserted")
     if g.m != 2 * g.n - 4:
         raise PreconditionFailedError("|E| = 2n-4 (quadrangulation)")
+    proper_three_orientation(g)
     return 2 if is_q3(g) else 3

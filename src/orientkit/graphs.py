@@ -1,9 +1,11 @@
 """Undirected simple graphs: parsing, serialization, bipartition, degree queries.
 
 Vertices are dense integers 0..n-1.  Edge indices are stable: edge i is
-``edges[i]`` for the lifetime of the graph.  Planarity is never computed;
-it is an asserted input flag validated only through the bipartite-planar
-edge bound |E| <= 2n-4.
+``edges[i]`` for the lifetime of the graph.  Planarity is never computed:
+the header's ``planar`` token sets ``planar_asserted``, which parsing and
+serialization carry through.  Only ``euler_quadrangulation_check`` reads
+it, to classify the claim against the bipartite-planar edge bound
+|E| <= 2n-4; no orientation or orientation number depends on it.
 """
 
 from __future__ import annotations

@@ -37,9 +37,7 @@ from dataclasses import dataclass
 
 from .errors import (
     BadParamsError,
-    EdgeBoundViolatedError,
     MinDegreeTooSmallError,
-    PlanarityNotAssertedError,
     PreconditionDegreeError,
     PreconditionMadError,
     SizeMismatchError,
@@ -215,20 +213,20 @@ def proper_bipartite_orientation(g, part, x_class, k):
 
 
 def proper_three_orientation(g):
-    """Proper 3-orientation of a bipartite planar graph with min degree >= 3.
+    """Proper 3-orientation of a bipartite graph with min degree >= 3 and a
+    2-orientation (Mad <= 4).
 
-    Uses the class of vertex 0 as X; either class works since every degree
-    is >= 3 = k+1 for k = 2.
+    These are the only facts the switching proof uses.  Planarity is one way
+    to get the 2-orientation (in a bipartite planar graph every subgraph H
+    has |E(H)| <= 2|H|), but it is never trusted: the planar flag is not
+    read, and the engine either finds the 2-orientation or
+    ``PreconditionMadError`` carries a subset H with |E(H)| > 2|H|.  Uses the
+    class of vertex 0 as X; either class works since every degree is
+    >= 3 = k+1 for k = 2.
     """
     part = bipartition(g)
     if min_degree(g) < 3:
-        raise MinDegreeTooSmallError(f"need min degree >= 3, got {min_degree(g)}")
-    if not g.planar_asserted:
-        raise PlanarityNotAssertedError("planarity not asserted for this graph")
-    if g.n >= 4 and g.m > 2 * g.n - 4:
-        raise EdgeBoundViolatedError(
-            f"|E| = {g.m} > 2n-4 = {2 * g.n - 4}; planarity assertion is false"
-        )
+        raise MinDegreeTooSmallError(min_degree(g))
     return proper_bipartite_orientation(g, part, X, 2)
 
 

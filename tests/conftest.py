@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from orientkit.generators import complete_bipartite, q3
 from orientkit.graphs import Graph
 
 
@@ -112,3 +113,45 @@ def random_bipartite_graph(rng, nx, ny, degree_x):
         for y in rng.sample(range(nx, nx + ny), degree_x):
             edges.append((x, y))
     return Graph(n=nx + ny, edges=tuple(edges))
+
+
+def _two_colouring(g):
+    """side[v] in {0, 1}, 0 on the smallest vertex of each component."""
+    side = [None] * g.n
+    for root in range(g.n):
+        if side[root] is None:
+            side[root], stack = 0, [root]
+            while stack:
+                u = stack.pop()
+                for v, _ in g.adjacency[u]:
+                    if side[v] is None:
+                        side[v] = 1 - side[u]
+                        stack.append(v)
+    return side
+
+
+def flagged_graph_with_no_2_orientation():
+    """K_{7,7}, four cubes and three K_{3,3}, flagged planar and made
+    connected by 2-switches: connected, bipartite, min degree 3 and
+    |E| = 2n-4 = 124 on 64 vertices, like a quadrangulation.  But K_{7,7}
+    keeps 48 > 2 * 14 of its edges, so no 2-orientation exists and the flag
+    is false.
+
+    Each switch takes the last edge (x, y) of one part and the first edge
+    (x2, y2) of the next, x and x2 on side 0, and puts in (x, y2) and
+    (x2, y): every degree and both colour classes stay.  Each part is
+    3-edge-connected and loses at most two edges, so it stays connected.
+    """
+    parts = [complete_bipartite(7, 7)] + [q3()] * 4 + [complete_bipartite(3, 3)] * 3
+    own, offset = [], 0
+    for g in parts:
+        side = _two_colouring(g)
+        own.append([(u + offset, v + offset) if side[u] == 0 else (v + offset, u + offset)
+                    for u, v in g.edges])
+        offset += g.n
+    cross = []
+    for a, b in zip(own, own[1:]):
+        (x, y), (x2, y2) = a.pop(), b.pop(0)
+        cross += [(x, y2), (x2, y)]
+    edges = tuple(e for part in own for e in part) + tuple(cross)
+    return Graph(n=offset, edges=edges, planar_asserted=True)

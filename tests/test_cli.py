@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import relabel
+from conftest import flagged_graph_with_no_2_orientation, relabel
 from orientkit.cli import main, run
 from orientkit.graphs import parse_graph
 from orientkit.generators import q3, cycle, pdw
@@ -60,6 +60,44 @@ def test_proper3_verify_pipeline(capsys, monkeypatch):
     feed(monkeypatch, arcs)
     assert run(["verify"]) == 0
     assert capsys.readouterr().out.strip() == "proper=true max_indegree=3"
+
+
+@pytest.mark.parametrize("command", ["proper3", "quad"])
+def test_proper3_and_quad_ignore_the_planar_flag(command, capsys, monkeypatch):
+    flagged = serialize_graph(pdw(7))
+    header, body = flagged.split("\n", 1)
+    assert header.endswith(" planar")
+    outputs = []
+    for text in (flagged, header.removesuffix(" planar") + "\n" + body):
+        feed(monkeypatch, text)
+        assert run([command]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
+
+def test_quad_refuses_a_false_planar_flag(tmp_path, capsys):
+    # every gate but the 2-orientation passes, so trusting the flag would print 3
+    path = tmp_path / "g.txt"
+    path.write_text(serialize_graph(flagged_graph_with_no_2_orientation()))
+    assert run(["quad", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: no 2-orientation exists (dense subset of ")
+
+
+def test_closed_stdin(capsys, monkeypatch):
+    # started with stdin closed ("orientkit mad <&-"), Python sets sys.stdin to None
+    monkeypatch.setattr("sys.stdin", None)
+    monkeypatch.setattr("sys.argv", ["orientkit", "mad"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == "error: standard input is closed\n"
 
 
 def test_proper3_odd_cycle(capsys, monkeypatch):

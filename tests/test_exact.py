@@ -5,12 +5,13 @@ import pytest
 
 from conftest import (
     brute_force_exists_proper_k,
+    flagged_graph_with_no_2_orientation,
     random_bipartite_graph,
     random_connected_graph,
     relabel,
 )
 from orientkit.density import pseudoarboricity
-from orientkit.errors import ExceedsCapError, PreconditionFailedError
+from orientkit.errors import ExceedsCapError, PreconditionFailedError, PreconditionMadError
 from orientkit.exact import (
     exists_proper_k,
     is_q3,
@@ -18,7 +19,7 @@ from orientkit.exact import (
     quadrangulation_number,
 )
 from orientkit.generators import complete_bipartite, cycle, path, pdw, q3, star
-from orientkit.graphs import Graph, parse_graph
+from orientkit.graphs import Graph, connected_components, parse_graph
 from orientkit.orientation import verify_orientation
 
 
@@ -179,8 +180,46 @@ def test_quadrangulation_gates():
     with pytest.raises(PreconditionFailedError) as exc:
         quadrangulation_number(cycle(4))
     assert "degree" in exc.value.gate
-    with pytest.raises(PreconditionFailedError):
-        quadrangulation_number(Graph(n=8, edges=q3().edges, planar_asserted=False))
+    # the planar flag is no gate: the unflagged cube is still the cube
+    assert quadrangulation_number(Graph(n=8, edges=q3().edges, planar_asserted=False)) == 2
+
+
+def test_quadrangulation_number_needs_a_2_orientation_not_the_flag():
+    # every gate the flag stood in for passes, and the value is at least the
+    # pseudoarboricity 4, so "3" would be wrong
+    g = flagged_graph_with_no_2_orientation()
+    assert g.planar_asserted and g.m == 2 * g.n - 4 == 124 and min(g.degrees()) == 3
+    assert pseudoarboricity(g) == 4
+    with pytest.raises(PreconditionMadError) as exc:
+        quadrangulation_number(g)
+    h = set(exc.value.witness)
+    assert sum(u in h and v in h for u, v in g.edges) > 2 * len(h)
+
+
+def random_unflagged_graph_on_the_edge_bound(rng, nx, ny):
+    """A random connected bipartite graph, not flagged planar, with min
+    degree 3 and |E| = 2n-4: each X vertex takes 3 neighbours, random X-Y
+    edges fill up the count, and a draw with a Y vertex of degree < 3 or
+    two components is tried again."""
+    target = 2 * (nx + ny) - 4
+    while True:
+        edges = set(random_bipartite_graph(rng, nx, ny, 3).edges)
+        spare = [(x, y) for x in range(nx) for y in range(nx, nx + ny) if (x, y) not in edges]
+        edges.update(rng.sample(spare, target - len(edges)))
+        g = relabel(rng, Graph(n=nx + ny, edges=tuple(sorted(edges))))
+        if min(g.degrees()) >= 3 and len(connected_components(g)) == 1:
+            return g
+
+
+@pytest.mark.parametrize("nx, ny, count", [(4, 4, 4), (5, 5, 4), (5, 6, 2)])
+def test_quadrangulation_number_on_unflagged_graphs_matches_brute_force(nx, ny, count):
+    # with min degree 3 and |E| = 2n-4 <= 18 the classes are 4+4, 5+5 or 5+6
+    rng = random.Random(nx * 10 + ny)
+    for _ in range(count):
+        g = random_unflagged_graph_on_the_edge_bound(rng, nx, ny)
+        assert not g.planar_asserted
+        expected = 2 if brute_force_exists_proper_k(g, 2) else 3
+        assert quadrangulation_number(g) == expected, g.edges
 
 
 def test_number_edgeless_is_zero():

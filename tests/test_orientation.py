@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     brute_force_k_witness,
     brute_force_mad,
+    flagged_graph_with_no_2_orientation,
     random_connected_graph,
     relabel,
     unicyclic,
@@ -15,10 +16,11 @@ from orientkit.density import mad_exact
 from orientkit.errors import (
     MinDegreeTooSmallError,
     PreconditionDegreeError,
+    PreconditionFailedError,
     PreconditionMadError,
     SizeMismatchError,
 )
-from orientkit.generators import cycle, pdw, q3, star
+from orientkit.generators import complete_bipartite, cycle, pdw, q3, star
 from orientkit.graphs import Graph, X, bipartition, parse_graph
 from orientkit.orientation import (
     Infeasible,
@@ -205,8 +207,29 @@ def test_proper3_pdw4():
 
 
 def test_proper3_min_degree_gate():
-    with pytest.raises(MinDegreeTooSmallError):
+    with pytest.raises(MinDegreeTooSmallError) as exc:
         proper_three_orientation(cycle(4))
+    # one error family with the quadrangulation gates
+    assert isinstance(exc.value, PreconditionFailedError)
+    assert exc.value.gate == "min degree >= 3" and exc.value.degree == 2
+    assert str(exc.value) == "precondition failed: min degree >= 3, got 2"
+
+
+def test_proper3_beyond_the_planar_edge_bound():
+    # K_{4,4} has 16 > 2n-4 = 12 edges but Mad = 4, so switching still works,
+    # with or without the flag
+    for planar in (False, True):
+        g = Graph(n=8, edges=complete_bipartite(4, 4).edges, planar_asserted=planar)
+        report = verify_orientation(g, proper_three_orientation(g))
+        assert report.proper and report.max_indegree == 3
+
+
+def test_proper3_refutes_a_false_planar_flag():
+    g = flagged_graph_with_no_2_orientation()
+    with pytest.raises(PreconditionMadError) as exc:
+        proper_three_orientation(g)
+    h = set(exc.value.witness)
+    assert sum(u in h and v in h for u, v in g.edges) > 2 * len(h)
 
 
 def test_verify_directed_c4():
