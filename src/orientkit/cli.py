@@ -3,7 +3,14 @@
 Graphs stream through stdin/stdout in the edge-list format ("n m [planar]"
 header, then "u v" lines) so subcommands compose with shell pipes.
 Orientations are m lines "u v" meaning arc u -> v, in edge-index order.
-Exit codes: 0 success, 1 domain error, 2 usage or parse error.
+
+Every text input (graph, arc list, orientation file, model file) is read
+whole by ``_read_text`` and split by ``str.splitlines()``.  Every command
+returns its stdout text (``check-t4`` also its exit code), and only ``run()``
+writes it, to stdout or to ``-o FILE``, once the command has succeeded; so an
+error leaves stdout empty.
+Exit codes: 0 success, 1 domain error, 2 usage, parse or I/O error (closed
+stdin or stdout included).
 """
 
 from __future__ import annotations
@@ -44,14 +51,11 @@ from .t4proof import (
 )
 
 
-def _open_input(path):
-    # undecodable bytes reach the tokenizer, which names their line
-    return open(path, encoding="utf-8", errors="surrogateescape")
-
-
-def _read_text(args):
-    if args.input and args.input != "-":
-        with _open_input(args.input) as fh:
+def _read_text(path):
+    """The text of the file at path; None or "-" means stdin."""
+    if path and path != "-":
+        # undecodable bytes reach the tokenizer, which names their line
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             return fh.read()
     if sys.stdin is None:  # the process was started with stdin closed
         raise OSError("standard input is closed")
@@ -59,26 +63,26 @@ def _read_text(args):
 
 
 def _write_text(path, text):
+    """Write text to the file at path; None or "-" means stdout."""
     if path and path != "-":
         with open(path, "w") as fh:
             fh.write(text)
+    elif sys.stdout is None:  # the process was started with stdout closed
+        raise OSError("standard output is closed")
     else:
         sys.stdout.write(text)
 
 
+def _arcs_text(sigma):
+    return "".join(f"{tail} {head}\n" for tail, head in sigma.arcs())
+
+
 def _read_graph(args):
-    return parse_graph(_read_text(args))
-
-
-def _write_orientation(sigma, out=None):
-    out = out if out is not None else sys.stdout
-    for tail, head in sigma.arcs():
-        print(f"{tail} {head}", file=out)
+    return parse_graph(_read_text(args.input))
 
 
 def _read_orientation(g, path):
-    with _open_input(path) as fh:
-        arcs, line_numbers = read_pairs(fh)
+    arcs, line_numbers = read_pairs(_read_text(path).splitlines())
     if len(arcs) != g.m:
         raise ParseError(f"orientation file has {len(arcs)} arcs, graph has {g.m} edges")
     direction = []
@@ -90,74 +94,53 @@ def _read_orientation(g, path):
 
 
 def _cmd_mad(args):
-    g = _read_graph(args)
-    report = mad_exact(g)
-    print(f"mad = {report.mad.numerator}/{report.mad.denominator}")
-    print("witness: " + " ".join(str(v) for v in sorted(report.witness)))
-    return 0
+    report = mad_exact(_read_graph(args))
+    witness = " ".join(str(v) for v in sorted(report.witness))
+    return f"mad = {report.mad.numerator}/{report.mad.denominator}\nwitness: {witness}\n"
 
 
 def _cmd_orient(args):
-    g = _read_graph(args)
-    result = k_orientation(g, args.k)
+    result = k_orientation(_read_graph(args), args.k)
     if isinstance(result, Infeasible):
         witness = " ".join(str(v) for v in result.witness)
-        print(f"error: no {args.k}-orientation (dense subset: {witness})", file=sys.stderr)
-        return 1
-    _write_orientation(result)
-    return 0
+        raise OrientKitError(f"no {args.k}-orientation (dense subset: {witness})")
+    return _arcs_text(result)
 
 
 def _cmd_proper(args):
     g = _read_graph(args)
-    part = bipartition(g)
     # class X always contains vertex 0, so "auto" and "0" coincide
     x_class = "Y" if args.x_class == "1" else "X"
-    sigma = proper_bipartite_orientation(g, part, x_class, args.k)
-    _write_orientation(sigma)
-    return 0
+    return _arcs_text(proper_bipartite_orientation(g, bipartition(g), x_class, args.k))
 
 
 def _cmd_proper3(args):
-    g = _read_graph(args)
-    sigma = proper_three_orientation(g)
-    _write_orientation(sigma)
-    return 0
+    return _arcs_text(proper_three_orientation(_read_graph(args)))
 
 
 def _cmd_exact(args):
-    g = _read_graph(args)
-    result = proper_orientation_number(g, args.kmax)
-    print(f"chi_orient = {result.value}")
-    return 0
+    return f"chi_orient = {proper_orientation_number(_read_graph(args), args.kmax).value}\n"
 
 
 def _cmd_quad(args):
-    g = _read_graph(args)
-    print(f"chi_orient = {quadrangulation_number(g)}")
-    return 0
+    return f"chi_orient = {quadrangulation_number(_read_graph(args))}\n"
 
 
 def _cmd_cnf(args):
-    g = _read_graph(args)
-    _write_text(args.output, export_cnf(g, args.k).to_dimacs())
-    return 0
+    return export_cnf(_read_graph(args), args.k).to_dimacs()
 
 
 def _cmd_decode(args):
     g = _read_graph(args)
     literals = []
-    with _open_input(args.model) as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if parts and parts[0] in ("c", "s"):  # DIMACS comment and status lines
-                continue
-            if parts and parts[0] in ("v", "V"):
-                parts = parts[1:]
-            literals += read_ints(parts, lineno)
-    sigma = decode_model(g, args.k, literals)
-    _write_orientation(sigma)
-    return 0
+    for lineno, line in enumerate(_read_text(args.model).splitlines(), 1):
+        parts = line.split()
+        if parts and parts[0] in ("c", "s"):  # DIMACS comment and status lines
+            continue
+        if parts and parts[0] in ("v", "V"):
+            parts = parts[1:]
+        literals += read_ints(parts, lineno)
+    return _arcs_text(decode_model(g, args.k, literals))
 
 
 def _parse_family(token):
@@ -172,11 +155,11 @@ def _parse_family(token):
 
 def _cmd_gen(args):
     spec = _parse_family(args.family)
-    _write_text(args.output, serialize_graph(generate(spec)))
+    text = serialize_graph(generate(spec))
     if args.id_table and spec.family == "theorem4":
         for role, (first, last) in theorem4_id_table(*spec.params).items():
             print(f"# {role}: {first}..{last}", file=sys.stderr)
-    return 0
+    return text
 
 
 def _cmd_verify(args):
@@ -185,19 +168,17 @@ def _cmd_verify(args):
         sigma = _read_orientation(g, args.orientation)
     else:
         # bare arc list: the arcs carry both the graph and sigma
-        arcs, line_numbers = read_pairs(_read_text(args).splitlines())
+        arcs, line_numbers = read_pairs(_read_text(args.input).splitlines())
         n = max((max(a) for a in arcs), default=-1) + 1
         g = graph_from_pairs(n, arcs, line_numbers)
         sigma = Orientation(graph=g, direction=tuple(True for _ in arcs))
     report = verify_orientation(g, sigma)
-    print(f"proper={str(report.proper).lower()} max_indegree={report.max_indegree}")
-    return 0
+    return f"proper={str(report.proper).lower()} max_indegree={report.max_indegree}\n"
 
 
 def _cmd_check_t4(args):
     report = verify_lower_bound_certificate()
-    for line in report.narrative:
-        print(line)
+    lines = list(report.narrative)
     for name, gadget in (
         ("step1", report.step1),
         ("step2a", report.step2a),
@@ -205,21 +186,21 @@ def _cmd_check_t4(args):
         ("step3", report.step3),
     ):
         status = "ok" if gadget.ok else f"FAILED ({len(gadget.counterexamples)} counterexamples)"
-        print(f"{name}: {status} [{gadget.enumerated_count} orientations]")
+        lines.append(f"{name}: {status} [{gadget.enumerated_count} orientations]")
     crosscheck = reduced_scale_crosscheck()
-    print(f"reduced-scale crosscheck: {'ok' if crosscheck else 'FAILED'}")
+    lines.append(f"reduced-scale crosscheck: {'ok' if crosscheck else 'FAILED'}")
     sigma = witness_four_orientation(args.extra)
     wreport = verify_orientation(sigma.graph, sigma)
-    print(
+    lines.append(
         f"witness (extra={args.extra}): proper={str(wreport.proper).lower()} "
         f"max_indegree={wreport.max_indegree}"
     )
     if args.emit_witness:
         with open(args.emit_witness, "w") as fh:
-            _write_orientation(sigma, out=fh)
+            fh.write(_arcs_text(sigma))
     certified = report.conclusion and crosscheck and wreport.proper and wreport.max_indegree == 4
-    print(f"chi_orient = 4 certified: {str(certified).lower()}")
-    return 0 if certified else 1
+    lines.append(f"chi_orient = 4 certified: {str(certified).lower()}")
+    return "".join(f"{line}\n" for line in lines), 0 if certified else 1
 
 
 def _int_option(text):
@@ -304,7 +285,10 @@ def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)  # the stdout text, or (text, exit code)
+        text, code = result if isinstance(result, tuple) else (result, 0)
+        _write_text(getattr(args, "output", None), text)
+        return code
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))

@@ -93,15 +93,15 @@ def check_right_overflow(left_size, threshold):
     )
 
 
-def verify_lower_bound_certificate(*, a_left=7, hub_cap=3, pair_count=8, overflow=4):
+def verify_lower_bound_certificate():
     """Replay the lower-bound proof that the tight instance has no proper
-    3-orientation.  Parameters exist as a test hook; the defaults are the
-    real argument.  conclusion is True only if every enumeration succeeds.
+    3-orientation: K_{7,2} and K_{8,2}, both with hub cap 3.  conclusion is
+    True only if every enumeration succeeds.
     """
-    step1 = check_left_pigeonhole(a_left, hub_cap)
-    step2a = check_right_overflow(pair_count, overflow)
-    step2b = check_left_pigeonhole(a_left, hub_cap)
-    step3 = check_right_overflow(pair_count, overflow)
+    step1 = check_left_pigeonhole(7, 3)
+    step2a = check_right_overflow(8, 4)
+    step2b = check_left_pigeonhole(7, 3)
+    step3 = check_right_overflow(8, 4)
     narrative = (
         "step 1: in each (i,j) block the 7 spoke vertices force one of them "
         "to indegree 2 once both hubs are capped at 3",

@@ -100,6 +100,25 @@ def test_closed_stdin(capsys, monkeypatch):
     assert err == "error: standard input is closed\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "q3"], ["quad", "{g}"], ["proper3", "{g}"], ["check-t4"],
+], ids=["gen", "quad", "proper3", "check-t4"])
+def test_closed_stdout(argv, tmp_path, capsys, monkeypatch):
+    # started with stdout closed ("orientkit gen q3 >&-"), Python sets sys.stdout to None
+    (tmp_path / "g.txt").write_text(serialize_graph(q3()))
+    monkeypatch.setattr("sys.stdout", None)
+    assert run([arg.format(g=tmp_path / "g.txt") for arg in argv]) == 2
+    assert capsys.readouterr().err == "error: standard output is closed\n"
+
+
+def test_closed_stdout_with_an_output_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdout", None)
+    target = tmp_path / "g.txt"
+    assert run(["gen", "q3", "-o", str(target)]) == 0
+    assert capsys.readouterr().err == ""
+    assert target.read_text() == serialize_graph(q3())
+
+
 def test_proper3_odd_cycle(capsys, monkeypatch):
     feed(monkeypatch, serialize_graph(cycle(3)))
     assert run(["proper3"]) == 1
@@ -156,6 +175,20 @@ def test_verify_with_orientation_file(tmp_path, capsys, monkeypatch):
     assert "max_indegree=2" in out
 
 
+def test_orientation_file_and_stdin_follow_one_line_rule(tmp_path, capsys, monkeypatch):
+    # str.splitlines() also ends a line at a form feed
+    text = "1 0\f1 2\n3 2\n3 0\n"
+    feed(monkeypatch, text)
+    assert run(["verify"]) == 0
+    bare = capsys.readouterr()
+    sigma = tmp_path / "sigma.txt"
+    sigma.write_text(text)
+    feed(monkeypatch, serialize_graph(cycle(4)))
+    assert run(["verify", "--orientation", str(sigma)]) == 0
+    assert capsys.readouterr() == bare
+    assert bare.out == "proper=true max_indegree=2\n"
+
+
 def test_check_t4(capsys):
     assert run(["check-t4"]) == 0
     out = capsys.readouterr().out
@@ -167,6 +200,15 @@ def test_check_t4_emit_witness(tmp_path, capsys):
     target = tmp_path / "witness.txt"
     assert run(["check-t4", "--extra", "1", "--emit-witness", str(target)]) == 0
     assert len(target.read_text().splitlines()) == 362
+
+
+def test_check_t4_error_leaves_stdout_empty(tmp_path, capsys):
+    not_a_dir = tmp_path / "f"
+    not_a_dir.write_text("")
+    assert run(["check-t4", "--emit-witness", str(not_a_dir / "w.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 def test_gen_to_file(tmp_path, capsys):
@@ -324,5 +366,7 @@ def test_random_text_gives_an_exit_code():
             code = run([command])
         assert code in (0, 1, 2)
         assert (code == 0) == (err.getvalue() == "")
+        if code != 0:
+            assert out.getvalue() == ""
 
     check()

@@ -91,8 +91,12 @@ def test_certificate_default_run():
     assert counts == [2**14, 2**16, 2**14, 2**16]
 
 
-def test_certificate_mutated_run():
-    report = verify_lower_bound_certificate(hub_cap=4)
+def test_certificate_mutated_run(monkeypatch):
+    # a hub cap of 4 breaks step 1, and the conclusion must follow it
+    assert check_left_pigeonhole(7, 4).counterexamples
+    monkeypatch.setattr("orientkit.t4proof.check_left_pigeonhole",
+                        lambda left, cap: check_left_pigeonhole(left, cap + 1))
+    report = verify_lower_bound_certificate()
     assert not report.conclusion
     assert report.step1.counterexamples
 
