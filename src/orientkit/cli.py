@@ -21,7 +21,13 @@ import sys
 from . import __version__
 from .cnf import decode_model, export_cnf
 from .density import mad_exact
-from .errors import BadParamsError, OrientKitError, ParseError
+from .errors import (
+    BadParamsError,
+    OrientKitError,
+    ParseError,
+    SelfLoopError,
+    VertexRangeError,
+)
 from .exact import proper_orientation_number, quadrangulation_number
 from .generators import (
     FamilySpec,
@@ -167,16 +173,27 @@ def _cmd_verify(args):
         g = _read_graph(args)
         sigma = _read_orientation(g, args.orientation)
     else:
-        # bare arc list: the arcs carry both the graph and sigma
+        # bare arc list: the arcs carry both the graph and sigma.  Properness
+        # and indegrees ignore isolated vertices, so only the ids that occur
+        # are numbered, in order of first appearance: a huge id allocates nothing.
         arcs, line_numbers = read_pairs(_read_text(args.input).splitlines())
-        n = max((max(a) for a in arcs), default=-1) + 1
-        g = graph_from_pairs(n, arcs, line_numbers)
+        dense = {}
+        for i, ((u, v), line) in enumerate(zip(arcs, line_numbers)):
+            if u < 0 or v < 0:
+                raise VertexRangeError(f"edge {i} = ({u}, {v}): vertex ids must be >= 0", line)
+            if u == v:
+                raise SelfLoopError(f"edge {i} is a self-loop at vertex {u}", line)
+            dense.setdefault(u, len(dense))
+            dense.setdefault(v, len(dense))
+        g = graph_from_pairs(len(dense), [(dense[u], dense[v]) for u, v in arcs], line_numbers)
         sigma = Orientation(graph=g, direction=tuple(True for _ in arcs))
     report = verify_orientation(g, sigma)
     return f"proper={str(report.proper).lower()} max_indegree={report.max_indegree}\n"
 
 
 def _cmd_check_t4(args):
+    if args.emit_witness == "-":
+        raise BadParamsError("--emit-witness needs a file: stdout carries the report")
     report = verify_lower_bound_certificate()
     lines = list(report.narrative)
     for name, gadget in (
@@ -196,8 +213,7 @@ def _cmd_check_t4(args):
         f"max_indegree={wreport.max_indegree}"
     )
     if args.emit_witness:
-        with open(args.emit_witness, "w") as fh:
-            fh.write(_arcs_text(sigma))
+        _write_text(args.emit_witness, _arcs_text(sigma))
     certified = report.conclusion and crosscheck and wreport.proper and wreport.max_indegree == 4
     lines.append(f"chi_orient = 4 certified: {str(certified).lower()}")
     return "".join(f"{line}\n" for line in lines), 0 if certified else 1
@@ -272,7 +288,7 @@ def build_parser():
 
     p = add("check-t4", _cmd_check_t4, help="tightness certificate for the delta=2 instance")
     p.add_argument("--extra", type=_int_option, default=0)
-    p.add_argument("--emit-witness")
+    p.add_argument("--emit-witness", help="write the witness arcs to this file (not -)")
 
     return parser
 

@@ -47,34 +47,49 @@ def theorem4_id_table(extra=0):
     the b, c, d, p, q hubs, the two top vertices s and t, and the optional
     extra degree-2 vertices hanging off b(0,0) and c(0,0).
     """
+    return _t4_layout(extra)[2]
+
+
+def _t4_layout(extra=0, blocks=4, pairs=4, spokes=7):
+    """The theorem-4 layout at a given scale: the Graph, the direction the
+    witness 4-orientation gives each edge (True: u -> v) and the id table.
+
+    Block i has `pairs` hub pairs b(i,j), c(i,j), each sharing `spokes`
+    degree-2 vertices a(i,j,k); `spokes` degree-2 vertices d(i,k); and the
+    hubs p(i), q(i), which join every b, c and d of the block and both top
+    vertices s, t.  Roles take consecutive ids in the order a, b, c, d, p,
+    q, s, t, extra, each numbered row-major.  theorem4 is (4, 4, 7); the
+    witness is t4proof.witness_four_orientation.
+    """
     if extra < 0:
         raise BadParamsError("extra must be >= 0")
-    a, b, c, d, p, q, s, t = _t4_ids()
-    table = {
-        "a": (a(0, 0, 0), a(3, 3, 6)),
-        "b": (b(0, 0), b(3, 3)),
-        "c": (c(0, 0), c(3, 3)),
-        "d": (d(0, 0), d(3, 6)),
-        "p": (p(0), p(3)),
-        "q": (q(0), q(3)),
-        "s": (s, s),
-        "t": (t, t),
-    }
-    if extra:
-        table["extra"] = (t + 1, t + extra)
-    return table
-
-
-def _t4_ids():
-    """The theorem-4 layout: id functions a, b, c, d, p, q and the ids s, t.
-    Extra vertices follow t."""
-    a = lambda i, j, k: (4 * i + j) * 7 + k
-    b = lambda i, j: 112 + 4 * i + j
-    c = lambda i, j: 128 + 4 * i + j
-    d = lambda i, k: 144 + 7 * i + k
-    p = lambda i: 172 + i
-    q = lambda i: 176 + i
-    return a, b, c, d, p, q, 180, 181
+    hubs = blocks * pairs
+    sizes = (("a", hubs * spokes), ("b", hubs), ("c", hubs), ("d", blocks * spokes),
+             ("p", blocks), ("q", blocks), ("s", 1), ("t", 1), ("extra", extra))
+    table, n = {}, 0
+    for role, size in sizes:
+        if size:
+            table[role] = (n, n + size - 1)
+        n += size
+    b, c, d, p, q, s, t = (table[role][0] for role in "bcdpqst")
+    arcs = []  # (u, v, whether the witness orients u -> v)
+    for h in range(hubs):
+        for a in range(h * spokes, (h + 1) * spokes):
+            lead = a == h * spokes
+            arcs += [(a, b + h, lead), (a, c + h, lead)]
+    for h in range(hubs):
+        i = h // pairs
+        arcs += [(b + h, p + i, False), (b + h, q + i, False),
+                 (c + h, p + i, False), (c + h, q + i, False)]
+    for k in range(blocks * spokes):
+        i = k // spokes
+        arcs += [(d + k, p + i, False), (d + k, q + i, False)]
+    for i in range(blocks):
+        arcs += [(p + i, s, False), (p + i, t, True), (q + i, s, True), (q + i, t, False)]
+    for x in range(t + 1, n):
+        arcs += [(x, b, False), (x, c, False)]
+    tails, heads, forward = zip(*arcs)
+    return Graph(n=n, edges=tuple(zip(tails, heads)), planar_asserted=True), forward, table
 
 
 def theorem4(extra=0):
@@ -84,34 +99,7 @@ def theorem4(extra=0):
     extra >= 1 appends degree-2 vertices adjacent to b[0][0] and c[0][0]
     (the infinite-family variant).  n = 182+extra, |E| = 360+2*extra = 2n-4.
     """
-    if extra < 0:
-        raise BadParamsError("extra must be >= 0")
-    a, b, c, d, p, q, s, t = _t4_ids()
-    edges = []
-    for i in range(4):
-        for j in range(4):
-            for k in range(7):
-                edges.append((a(i, j, k), b(i, j)))
-                edges.append((a(i, j, k), c(i, j)))
-    for i in range(4):
-        for j in range(4):
-            edges.append((b(i, j), p(i)))
-            edges.append((b(i, j), q(i)))
-            edges.append((c(i, j), p(i)))
-            edges.append((c(i, j), q(i)))
-    for i in range(4):
-        for k in range(7):
-            edges.append((d(i, k), p(i)))
-            edges.append((d(i, k), q(i)))
-    for i in range(4):
-        edges.append((p(i), s))
-        edges.append((p(i), t))
-        edges.append((q(i), s))
-        edges.append((q(i), t))
-    for x in range(t + 1, t + 1 + extra):
-        edges.append((x, b(0, 0)))
-        edges.append((x, c(0, 0)))
-    return Graph(n=t + 1 + extra, edges=tuple(edges), planar_asserted=True)
+    return _t4_layout(extra)[0]
 
 
 def complete_bipartite(a, b):

@@ -15,16 +15,15 @@ Checked at K_{7,2} and K_{8,2}, both with cap 3, and chained with
 properness transfer between adjacent tiers, it rules out any proper
 3-orientation of the 182-vertex instance.  Every gadget claim is
 established by enumerating all 2^(2L) orientations, never by trusting the
-prose; the glue logic is cross-checked at reduced scale against the exact
-solver.
+prose; the glue logic is cross-checked against the exact solver on the
+same layout at reduced scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .generators import _t4_ids, theorem4
-from .graphs import Graph
+from .generators import _t4_layout
 from .orientation import Orientation
 
 
@@ -126,23 +125,11 @@ def verify_lower_bound_certificate():
 
 
 def shrunken_instance():
-    """Reduced-scale analogue used to cross-check the deduction glue: one
-    block, spokes of size 3, hubs b0,b1/c0,c1, three d vertices, one p/q
-    pair and the s/t top.  Small enough for the exact solver."""
-    # ids: a(j,k) = 3j+k (j in 0..1, k in 0..2) -> 0..5; b_j = 6+j; c_j = 8+j;
-    # d_k = 10+k; p = 13; q = 14; s = 15; t = 16
-    a = lambda j, k: 3 * j + k
-    edges = []
-    for j in range(2):
-        for k in range(3):
-            edges.append((a(j, k), 6 + j))
-            edges.append((a(j, k), 8 + j))
-    for j in range(2):
-        edges += [(6 + j, 13), (6 + j, 14), (8 + j, 13), (8 + j, 14)]
-    for k in range(3):
-        edges += [(10 + k, 13), (10 + k, 14)]
-    edges += [(13, 15), (13, 16), (14, 15), (14, 16)]
-    return Graph(n=17, edges=tuple(edges), planar_asserted=True)
+    """Reduced-scale analogue used to cross-check the deduction glue: the
+    theorem-4 layout at one block, two hub pairs and three spokes (so three
+    d vertices), with one p/q pair and the s/t top.  Small enough for the
+    exact solver."""
+    return _t4_layout(0, 1, 2, 3)[0]
 
 
 def reduced_scale_crosscheck():
@@ -174,7 +161,8 @@ def reduced_scale_crosscheck():
 
 
 def witness_four_orientation(extra=0):
-    """Deterministic proper 4-orientation of theorem4(extra).
+    """Deterministic proper 4-orientation of theorem4(extra), in the
+    directions the theorem-4 layout lists with its edges.
 
     Per block: a(i,j,0) feeds both hubs, the hubs feed every other spoke
     vertex (and the extra vertices); p_i, q_i feed the hubs and the d tier;
@@ -182,18 +170,5 @@ def witness_four_orientation(extra=0):
     fed spokes and d 2, hubs 3, p/q 1, s/t 4, lead spokes 0.  Tests must
     confirm this via verify_orientation, never by trusting the intent.
     """
-    g = theorem4(extra)
-    a, b, c, d, p, q, s, t = _t4_ids()
-    direction = []
-    for u, v in g.edges:
-        if v in (s, t):  # (p_i, s), (p_i, t), (q_i, s), (q_i, t)
-            is_p = p(0) <= u <= p(3)
-            if v == s:
-                direction.append(not is_p)  # q -> s in, s -> p out
-            else:
-                direction.append(is_p)  # p -> t in, t -> q out
-        elif u < b(0, 0):  # (a(i,j,k), hub): a(i,j,0) = 7(4i+j) is the lead spoke
-            direction.append(u % 7 == 0)  # lead spoke feeds hubs, hubs feed the rest
-        else:  # (hub, p/q), (d, p/q), (extra, hub): p, q feed hubs and d, hubs feed extras
-            direction.append(False)
-    return Orientation(graph=g, direction=tuple(direction))
+    g, direction, _ = _t4_layout(extra)
+    return Orientation(graph=g, direction=direction)

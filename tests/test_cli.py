@@ -1,6 +1,10 @@
 import contextlib
 import io
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -211,6 +215,51 @@ def test_check_t4_error_leaves_stdout_empty(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
+def test_check_t4_refuses_emit_witness_to_stdout(tmp_path, capsys, monkeypatch):
+    # stdout carries the report, so "-" is a usage error found before any
+    # enumeration, and no file named "-" appears
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("orientkit.cli.verify_lower_bound_certificate",
+                        mock.Mock(side_effect=AssertionError("enumerated")))
+    assert run(["check-t4", "--emit-witness", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_bare_arcs_with_sparse_ids(capsys, monkeypatch):
+    # only the ids that occur are numbered; 9 -> 5 -> 100000000 ties at 5
+    feed(monkeypatch, "9 5\n5 100000000\n")
+    assert run(["verify"]) == 0
+    assert capsys.readouterr().out == "proper=false max_indegree=1\n"
+
+
+def test_verify_bare_arcs_name_the_original_ids(capsys, monkeypatch):
+    feed(monkeypatch, "5 9\n7 7\n")
+    assert run(["verify"]) == 2
+    assert capsys.readouterr().err == "error: line 2: edge 1 is a self-loop at vertex 7\n"
+    feed(monkeypatch, "5 9\n9 -3\n")
+    assert run(["verify"]) == 2
+    assert capsys.readouterr().err == "error: line 2: edge 1 = (9, -3): vertex ids must be >= 0\n"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="address-space limit via setrlimit")
+def test_verify_huge_id_under_a_memory_limit(tmp_path):
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400_000 * 1024, 400_000 * 1024))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "orientkit.cli", "verify"], input="0 100000000\n",
+        capture_output=True, text=True, preexec_fn=limit, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "proper=true max_indegree=1\n", "")
+
+
 def test_gen_to_file(tmp_path, capsys):
     target = tmp_path / "g.txt"
     assert run(["gen", "pdw:4", "-o", str(target)]) == 0
@@ -224,6 +273,7 @@ C4 = serialize_graph(cycle(4))
 ERROR_TABLE = {
     "verify-duplicate-arc": (["verify"], "0 1\n1 0\n", {}, 2, 2),
     "verify-self-loop": (["verify"], "0 0\n", {}, 2, 1),
+    "verify-negative-id": (["verify"], "0 1\n-1 2\n", {}, 2, 2),
     "verify-non-integer": (["verify"], "0 x\n", {}, 2, 1),
     "verify-orientation-non-integer": (
         ["verify", "--orientation", "{sigma}"], C4,
@@ -353,13 +403,22 @@ def test_gen_non_integer_parameter(capsys):
 def test_random_text_gives_an_exit_code():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    # small vertex ids only: a huge header still allocates before it is checked
-    token = st.sampled_from(["0", "1", "2", "3", "-1", "x", "1.5", "planar", "v", ""])
-    text = st.lists(st.lists(token, max_size=3).map(" ".join), max_size=6).map("\n".join)
+    # mad keeps small ids: a huge header still allocates before it is checked;
+    # a bare arc list numbers only the ids that occur, so verify also draws huge ones
+    small = ["0", "1", "2", "3", "-1", "x", "1.5", "planar", "v", ""]
+    huge = ["100000000", "999999999999"]
+
+    def text(tokens):
+        line = st.lists(st.sampled_from(tokens), max_size=3).map(" ".join)
+        return st.lists(line, max_size=6).map("\n".join)
+
+    case = st.one_of(st.tuples(text(small), st.just("mad")),
+                     st.tuples(text(small + huge), st.just("verify")))
 
     @hypothesis.settings(max_examples=150, deadline=None, database=None)
-    @hypothesis.given(text=text, command=st.sampled_from(["verify", "mad"]))
-    def check(text, command):
+    @hypothesis.given(case=case)
+    def check(case):
+        text, command = case
         out, err = io.StringIO(), io.StringIO()
         with mock.patch("sys.stdin", io.StringIO(text)), \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -108,6 +108,17 @@ def test_reduced_scale_crosscheck():
 def test_shrunken_instance_shape():
     g = shrunken_instance()
     assert g.m == 2 * g.n - 4
+    # the theorem-4 layout at one block, two hub pairs and three spokes,
+    # pinned edge for edge: a = 0..5, b = 6..7, c = 8..9, d = 10..12,
+    # p = 13, q = 14, s = 15, t = 16
+    assert g.n == 17 and g.planar_asserted
+    assert g.edges == (
+        (0, 6), (0, 8), (1, 6), (1, 8), (2, 6), (2, 8),
+        (3, 7), (3, 9), (4, 7), (4, 9), (5, 7), (5, 9),
+        (6, 13), (6, 14), (8, 13), (8, 14), (7, 13), (7, 14), (9, 13), (9, 14),
+        (10, 13), (10, 14), (11, 13), (11, 14), (12, 13), (12, 14),
+        (13, 15), (13, 16), (14, 15), (14, 16),
+    )
     assert exists_proper_k(g, 1) is None
 
 
@@ -128,6 +139,9 @@ def test_witness_spot_checks():
     assert all(indeg[v] == 3 for v in range(112, 144))  # every b and c hub
     assert all(indeg[v] == 1 for v in range(172, 180))  # every p and q
     assert all(indeg[v] == 2 for v in range(144, 172))  # every d
+    # spoke a(i,j,k) is 7(4i+j) + k: each lead spoke a(i,j,0) feeds both hubs,
+    # and both hubs feed every other spoke
+    assert all(indeg[v] == (0 if v % 7 == 0 else 2) for v in range(112))
 
 
 def test_witness_extra_vertices_sit_between_hubs():
