@@ -1,5 +1,7 @@
 """DIMACS CNF export of "G has a proper k-orientation", plus a small DPLL
-solver used as an in-process satisfiability cross-check.
+solver used as an in-process satisfiability cross-check.  The solver
+propagates over two watched literals per clause and backtracks
+chronologically on an explicit stack; it learns no clauses.
 
 One boolean per edge gives the direction (true = arc from the first listed
 endpoint into the second).  Each vertex gets a two-sided sequential counter
@@ -138,65 +140,102 @@ def decode_model(g, k, assignment):
 def dpll(clauses, num_vars):
     """Complete DPLL with unit propagation; returns a model literal list or None.
 
-    Decisions live on an explicit stack, so long instances cannot exhaust
-    Python's recursion limit.  Branching takes the lowest unassigned
-    variable, True before False.
+    The model is [v or -v for v in 1..num_vars]; a variable above num_vars
+    is never branched on, only propagated.  Branching takes the lowest
+    unassigned variable, True before False, with chronological
+    backtracking.  Decisions live on an explicit stack, so long instances
+    cannot exhaust Python's recursion limit.
+
+    Propagation uses two watched literals (Chaff): each clause of two or more
+    literals watches two of its positions, and assigning a literal visits
+    only the clauses that watch its negation.  A clause is unit when all its
+    positions but one are false and none is true, so a literal repeated in a
+    clause counts once per occurrence.  Unit propagation reaches the same
+    closure, or a conflict, in any order, so the search tree and the model
+    are those of a solver that rescans every clause.  The clauses are watched
+    as copies, because watching reorders them; the caller's lists are left
+    as they are.
 
     Meant for the small cross-check instances, not as a production solver.
     """
-    assign = {}
+    top = max((abs(lit) for clause in clauses for lit in clause), default=0)
+    top = max(top, num_vars)
+    # indexed by literal: value[-v] is at len - v, so one list holds both signs
+    value = [0] * (2 * top + 1)  # 1 true, -1 false, 0 unassigned
+    watches = [[] for _ in range(2 * top + 1)]
+    trail = []  # the assigned literals in order
+    for clause in clauses:
+        if len(clause) >= 2:
+            clause = list(clause)
+            watches[clause[0]].append(clause)
+            watches[clause[1]].append(clause)
+        elif not clause:
+            return None
+        else:
+            lit = clause[0]
+            if value[lit] < 0:
+                return None
+            if not value[lit]:
+                value[lit], value[-lit] = 1, -1
+                trail.append(lit)
 
-    def propagate(trail):
-        while True:
-            changed = False
-            for clause in clauses:
-                unassigned = None
-                satisfied = False
-                count = 0
-                for lit in clause:
-                    val = assign.get(abs(lit))
-                    if val is None:
-                        unassigned = lit
-                        count += 1
-                    elif val == (lit > 0):
-                        satisfied = True
-                        break
-                if satisfied:
+    head = 0  # trail[head:] still has to be propagated
+
+    def propagate():
+        nonlocal head
+        while head < len(trail):
+            false_lit = -trail[head]
+            head += 1
+            visit = watches[false_lit]
+            kept = watches[false_lit] = []
+            for i, clause in enumerate(visit):
+                # put the false watch second
+                if clause[0] == false_lit:
+                    clause[0], clause[1] = clause[1], false_lit
+                other = clause[0]
+                if value[other] > 0:
+                    kept.append(clause)
                     continue
-                if count == 0:
-                    return False
-                if count == 1:
-                    var = abs(unassigned)
-                    assign[var] = unassigned > 0
-                    trail.append(var)
-                    changed = True
-            if not changed:
-                return True
+                for j in range(2, len(clause)):
+                    lit = clause[j]
+                    if value[lit] >= 0:  # a new watch
+                        clause[1], clause[j] = lit, false_lit
+                        watches[lit].append(clause)
+                        break
+                else:
+                    kept.append(clause)
+                    if value[other] < 0:
+                        kept.extend(visit[i + 1:])
+                        return False
+                    value[other], value[-other] = 1, -1
+                    trail.append(other)
+        return True
 
-    # one frame per open decision: its variable and the trail of the
-    # propagation before it; the variable is tried True, then False
+    # one frame per open decision: its variable and the trail length before it;
+    # the variable is tried True, then False
     frames = []
-    trail = []
     while True:
-        if propagate(trail):
-            var = next((v for v in range(1, num_vars + 1) if v not in assign), None)
+        if propagate():
+            # every variable below the deepest decision is assigned
+            start = frames[-1][0] + 1 if frames else 1
+            var = next((v for v in range(start, num_vars + 1) if not value[v]), None)
             if var is None:
-                return [v if assign[v] else -v for v in range(1, num_vars + 1)]
-            frames.append((var, trail))
-            assign[var] = True
-            trail = []
+                return [v if value[v] > 0 else -v for v in range(1, num_vars + 1)]
+            frames.append((var, len(trail)))
+            value[var], value[-var] = 1, -1
+            trail.append(var)
             continue
-        for var in trail:
-            del assign[var]
         while True:  # back up to the deepest decision still on True
             if not frames:
                 return None
-            var, trail = frames[-1]
-            if assign[var]:
-                assign[var] = False
+            var, mark = frames[-1]
+            retry = value[var] > 0
+            for lit in trail[mark:]:
+                value[lit] = value[-lit] = 0
+            del trail[mark:]
+            if retry:
+                value[-var], value[var] = 1, -1
+                trail.append(-var)
+                head = mark
                 break
             frames.pop()
-            del assign[var]
-            for v in trail:
-                del assign[v]
-        trail = []

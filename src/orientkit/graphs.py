@@ -87,13 +87,21 @@ class EdgeBoundStatus(enum.Enum):
     EXCEEDS_BOUND = "ExceedsBound"
 
 
+MAX_DIGITS = 4300  # Python's default int() limit, applied on every version
+
+
 def read_ints(tokens, line=None):
     """The tokens as ints; a token other than ASCII -?[0-9]+ (int() would
-    also take "+1", "1_0" and non-ASCII digits) is a ParseError at line."""
+    also take "+1", "1_0" and non-ASCII digits) or one of more than
+    MAX_DIGITS digits is a ParseError at line."""
     values = []
     for tok in tokens:
         if not (tok.isascii() and (tok.isdigit() or tok[:1] == "-" and tok[1:].isdigit())):
             raise ParseError(f"expected an integer, got {tok!r}", line)
+        if len(tok) > MAX_DIGITS:  # the cheap test first: most tokens are short
+            digits = len(tok.lstrip("-"))
+            if digits > MAX_DIGITS:
+                raise ParseError(f"integer of {digits} digits, more than {MAX_DIGITS}", line)
         values.append(int(tok))
     return values
 

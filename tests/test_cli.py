@@ -307,6 +307,10 @@ ERROR_TABLE = {
     "decode-model-not-utf8": (
         ["decode", "-k", "2", "--model", "{model}"], C4, {"model": b"v 1 \xff 0\n"}, 2, 1,
     ),
+    # int() refuses more than 4300 digits on Python >= 3.11; the tokenizer
+    # refuses them on every version
+    "mad-5000-digit-id": (["mad"], "2 1\n0 " + "1" * 5000 + "\n", {}, 2, 2),
+    "verify-5000-digit-id": (["verify"], "0 1\n0 " + "1" * 5000 + "\n", {}, 2, 2),
 }
 
 
@@ -398,6 +402,13 @@ def test_decode_skips_dimacs_comment_and_status_lines(tmp_path, capsys, monkeypa
 def test_gen_non_integer_parameter(capsys):
     assert run(["gen", "pdw:x"]) == 2
     assert capsys.readouterr().err == "error: expected an integer, got 'x'\n"
+
+
+def test_gen_parameter_of_5000_digits(capsys):
+    assert run(["gen", "pdw:" + "1" * 5000]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: integer of 5000 digits, more than 4300\n"
 
 
 def test_random_text_gives_an_exit_code():

@@ -1,3 +1,4 @@
+import copy
 import random
 import sys
 
@@ -111,3 +112,120 @@ def test_dpll_needs_no_recursion():
         sys.setrecursionlimit(limit)
     report = verify_orientation(g, decode_model(g, 2, model))
     assert report.proper and report.max_indegree <= 2
+
+
+def reference_dpll(clauses, num_vars):
+    """The rescanning DPLL that cnf.dpll replaced, kept as the reference:
+    propagation walks the whole clause list once per implied literal."""
+    assign = {}
+
+    def propagate(trail):
+        while True:
+            changed = False
+            for clause in clauses:
+                unassigned = None
+                satisfied = False
+                count = 0
+                for lit in clause:
+                    val = assign.get(abs(lit))
+                    if val is None:
+                        unassigned = lit
+                        count += 1
+                    elif val == (lit > 0):
+                        satisfied = True
+                        break
+                if satisfied:
+                    continue
+                if count == 0:
+                    return False
+                if count == 1:
+                    var = abs(unassigned)
+                    assign[var] = unassigned > 0
+                    trail.append(var)
+                    changed = True
+            if not changed:
+                return True
+
+    # one frame per open decision: its variable and the trail of the
+    # propagation before it; the variable is tried True, then False
+    frames = []
+    trail = []
+    while True:
+        if propagate(trail):
+            var = next((v for v in range(1, num_vars + 1) if v not in assign), None)
+            if var is None:
+                return [v if assign[v] else -v for v in range(1, num_vars + 1)]
+            frames.append((var, trail))
+            assign[var] = True
+            trail = []
+            continue
+        for var in trail:
+            del assign[var]
+        while True:  # back up to the deepest decision still on True
+            if not frames:
+                return None
+            var, trail = frames[-1]
+            if assign[var]:
+                assign[var] = False
+                break
+            frames.pop()
+            del assign[var]
+            for v in trail:
+                del assign[v]
+        trail = []
+
+
+def random_cnf(rng):
+    """Clauses over 1..num_vars and up to three variables above it, with
+    empty, unit, repeated-literal and complementary-literal clauses."""
+    num_vars = rng.randint(0, 8)
+    top = num_vars + rng.randint(1, 3)
+    clauses = []
+    for _ in range(rng.randint(0, 16)):
+        size = 0 if rng.random() < 0.02 else rng.choice((1, 2, 2, 3, 3, 3, 4))
+        clause = [rng.choice((-1, 1)) * rng.randint(1, top) for _ in range(size)]
+        if clause and rng.random() < 0.15:
+            clause.insert(rng.randint(0, len(clause)), rng.choice(clause))
+        if clause and rng.random() < 0.1:
+            clause.insert(rng.randint(0, len(clause)), -rng.choice(clause))
+        clauses.append(clause)
+    return clauses, num_vars
+
+
+def test_dpll_matches_the_reference_on_random_cnfs():
+    rng = random.Random(14)
+    seen = dict.fromkeys(("empty", "unit", "repeat", "complement", "above", "no vars",
+                          "sat", "unsat"), 0)
+    for _ in range(3000):
+        clauses, num_vars = random_cnf(rng)
+        before = copy.deepcopy(clauses)
+        model = dpll(clauses, num_vars)
+        assert clauses == before, "dpll changed the caller's clauses"
+        assert model == reference_dpll(clauses, num_vars), (clauses, num_vars)
+        seen["empty"] += any(not c for c in clauses)
+        seen["unit"] += any(len(c) == 1 for c in clauses)
+        seen["repeat"] += any(len(set(c)) < len(c) for c in clauses)
+        seen["complement"] += any(-lit in c for c in clauses for lit in c)
+        seen["above"] += any(abs(lit) > num_vars for c in clauses for lit in c)
+        seen["no vars"] += num_vars == 0
+        seen["sat" if model is not None else "unsat"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize("clauses, num_vars, model", [
+    ([[4]], 1, [1]),                       # a unit above num_vars is propagated
+    ([[4], [-4]], 1, None),                # and can conflict
+    ([[-1, 4, 4], [-1, -4, -4]], 1, [1]),  # a repeated literal is never a unit
+    ([[]], 3, None),
+    ([], 0, []),
+    ([[1, -1], [-2]], 2, [1, -2]),
+])
+def test_dpll_corner_cases(clauses, num_vars, model):
+    assert dpll(clauses, num_vars) == model == reference_dpll(clauses, num_vars)
+
+
+@pytest.mark.parametrize("g", CORPUS, ids=range(len(CORPUS)))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dpll_matches_the_reference_on_exported_cnfs(g, k):
+    doc = export_cnf(g, k)
+    assert dpll(doc.clauses, doc.num_vars) == reference_dpll(doc.clauses, doc.num_vars)

@@ -19,6 +19,7 @@ from orientkit.graphs import (
     euler_quadrangulation_check,
     min_degree,
     parse_graph,
+    read_ints,
     serialize_graph,
 )
 
@@ -80,6 +81,39 @@ def test_serialize_round_trip(g):
     assert back.n == g.n
     assert back.edges == g.edges
     assert back.planar_asserted == g.planar_asserted
+
+
+def test_serialize_round_trip_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graphs(draw):
+        # a simple graph: distinct unordered pairs, each in a drawn endpoint order
+        n = draw(st.integers(0, 12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30)) if pairs else []
+        flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+        edges = tuple((v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips))
+        return Graph(n=n, edges=edges, planar_asserted=draw(st.booleans()))
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(g=graphs())
+    def check(g):
+        back = parse_graph(serialize_graph(g))
+        assert back.n == g.n
+        assert back.edges == g.edges
+        assert back.planar_asserted == g.planar_asserted
+
+    check()
+
+
+def test_read_ints_digit_limit():
+    assert read_ints(["9" * 4300, "-" + "9" * 4300]) == [10**4300 - 1, 1 - 10**4300]
+    for tok in ("1" * 4301, "-" + "1" * 4301):
+        with pytest.raises(ParseError) as exc:
+            read_ints(["0", tok], 7)
+        assert str(exc.value) == "line 7: integer of 4301 digits, more than 4300"
 
 
 def test_graph_rejects_bad_edges():
