@@ -1,14 +1,17 @@
 """DIMACS CNF export of "G has a proper k-orientation", plus a small DPLL
 solver used as an in-process satisfiability cross-check.  The solver
-propagates over two watched literals per clause and backtracks
-chronologically on an explicit stack; it learns no clauses.
+decides CNFs over the variables 1..num_vars only, propagates over two
+watched literals per clause and backtracks chronologically on an explicit
+stack; it learns no clauses.
 
 One boolean per edge gives the direction (true = arc from the first listed
-endpoint into the second).  Each vertex gets a two-sided sequential counter
-over its incoming literals; register bit r(v,j) holds iff indegree(v) >= j.
-Indegrees above k are forbidden, and for every edge uv and every t in 0..k
-a clause rules out indegree(u) = indegree(v) = t, with the constant bits
-r(.,0) = true and r(.,k+1) = false folded away.
+endpoint into the second).  Each vertex v gets a two-sided sequential
+counter over its incoming literals; register bit r(v,j) holds iff
+indegree(v) >= j, for j up to min(deg v, k).  Indegrees above k are
+forbidden, and for every edge uv and every t up to the shorter of the two
+registers a clause rules out indegree(u) = indegree(v) = t, with the
+constant bits r(.,0) = true and r(.,j) = false past a register folded
+away; a larger t is out of one end's reach and needs no clause.
 """
 
 from __future__ import annotations
@@ -98,22 +101,18 @@ def export_cnf(g, k):
             prev = cur
         registers.append(prev)
 
-    # properness: for each edge uv and t in 0..k, not both indegrees equal t
+    # properness: for each edge uv and t, not both indegrees equal t; past
+    # the shorter register one r(w,t) is constant false, so t stops there
     for u, v in g.edges:
-        for t in range(k + 1):
+        pair = (registers[u], registers[v])
+        for t in range(min(map(len, pair)) + 1):
             clause = []
-            satisfied = False
-            for w in (u, v):
-                reg = registers[w]
+            for reg in pair:
                 if t >= 1:
-                    if t > len(reg):
-                        satisfied = True  # r(w,t) is constant false
-                        break
                     clause.append(-reg[t - 1])
-                if t + 1 <= k and t + 1 <= len(reg):
+                if t < len(reg):
                     clause.append(reg[t])
-            if not satisfied:
-                clauses.append(clause)
+            clauses.append(clause)
 
     return CnfDocument(num_vars=next_var - 1, clauses=clauses, comments=comments)
 
@@ -122,13 +121,13 @@ def decode_model(g, k, assignment):
     """Orientation read off the direction variables of a satisfying model.
 
     assignment is a DIMACS-style literal list; every direction variable
-    1..m must appear.  Callers re-verify with verify_orientation.
+    1..m must appear, and no variable may appear with both signs.  Callers
+    re-verify with verify_orientation.
     """
     values = {}
     for lit in assignment:
-        if lit == 0:
-            continue
-        values[abs(lit)] = lit > 0
+        if lit and values.setdefault(abs(lit), lit > 0) != (lit > 0):
+            raise IncompleteModelError(f"variable {abs(lit)} set both true and false")
     direction = []
     for i in range(g.m):
         if i + 1 not in values:
@@ -140,8 +139,9 @@ def decode_model(g, k, assignment):
 def dpll(clauses, num_vars):
     """Complete DPLL with unit propagation; returns a model literal list or None.
 
-    The model is [v or -v for v in 1..num_vars]; a variable above num_vars
-    is never branched on, only propagated.  Branching takes the lowest
+    Every literal must name a variable of 1..num_vars; a literal 0 or a
+    variable above num_vars raises BadParamsError.  The model is
+    [v or -v for v in 1..num_vars].  Branching takes the lowest
     unassigned variable, True before False, with chronological
     backtracking.  Decisions live on an explicit stack, so long instances
     cannot exhaust Python's recursion limit.
@@ -158,11 +158,12 @@ def dpll(clauses, num_vars):
 
     Meant for the small cross-check instances, not as a production solver.
     """
-    top = max((abs(lit) for clause in clauses for lit in clause), default=0)
-    top = max(top, num_vars)
+    for lit in set().union(*clauses):
+        if not 0 < abs(lit) <= num_vars:
+            raise BadParamsError(f"literal {lit} is not a variable of 1..{num_vars}")
     # indexed by literal: value[-v] is at len - v, so one list holds both signs
-    value = [0] * (2 * top + 1)  # 1 true, -1 false, 0 unassigned
-    watches = [[] for _ in range(2 * top + 1)]
+    value = [0] * (2 * num_vars + 1)  # 1 true, -1 false, 0 unassigned
+    watches = [[] for _ in range(2 * num_vars + 1)]
     trail = []  # the assigned literals in order
     for clause in clauses:
         if len(clause) >= 2:

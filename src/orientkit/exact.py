@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .density import pseudoarboricity
 from .errors import ExceedsCapError, NotBipartiteError, PreconditionFailedError
-from .graphs import bipartition, connected_components
+from .graphs import bipartition
 from .orientation import Orientation, proper_three_orientation
 
 
@@ -38,8 +38,6 @@ def exists_proper_k(g, k):
     if k < 0:
         return None
     m = g.m
-    if m == 0:
-        return Orientation(graph=g, direction=())
     deg = g.degrees()
     order = sorted(range(m), key=lambda i: (-(deg[g.edges[i][0]] + deg[g.edges[i][1]]), i))
     ends = [g.edges[i] for i in order]
@@ -59,9 +57,9 @@ def exists_proper_k(g, k):
     undecided = deg[:]
 
     def conflicts(w):
-        # w just became fully decided; ties with decided neighbors are final
-        if indeg[w] > k:
-            return True
+        # w just became fully decided; ties with decided neighbors are final.
+        # Only the new arc's head gained indegree, and it is checked against
+        # k before this runs.
         for z, _ in g.adjacency[w]:
             if undecided[z] == 0 and indeg[z] == indeg[w]:
                 return True
@@ -133,10 +131,11 @@ def is_q3(g):
 
 
 def quadrangulation_number(g):
-    """Proper orientation number of a connected bipartite graph with min
-    degree >= 3, |E| = 2n-4 and a 2-orientation: 2 when G is the 3-cube,
-    3 otherwise.  Every quadrangulation with min degree >= 3 is such a
-    graph, but the planar flag is never read.
+    """Proper orientation number of a bipartite graph with min degree >= 3,
+    |E| = 2n-4 and a 2-orientation: 2 when G is the 3-cube, 3 otherwise.
+    Every quadrangulation with min degree >= 3 is such a graph, but the
+    planar flag is never read, and G need not be connected: no step below
+    uses connectivity.
 
     Upper side: past the edge count, ``proper_three_orientation`` is the one
     gate.  It checks bipartite, min degree >= 3 and the 2-orientation, and
@@ -149,11 +148,10 @@ def quadrangulation_number(g):
     The other n-4 or more vertices are independent and each sends at least
     3 edges into C, so 3(n-4) <= m = 2n-4, which gives n <= 8.  Since
     3n/2 <= m also forces n >= 8, G is a cubic bipartite graph on 8
-    vertices: the cube, whose value is 2.  Every other G has nu >= 5 and no
+    vertices (connected, since a cubic bipartite component has at least 6
+    vertices): the cube, whose value is 2.  Every other G has nu >= 5 and no
     proper 2-orientation, so its value is 3.
     """
-    if len(connected_components(g)) != 1:
-        raise PreconditionFailedError("connected")
     if g.m != 2 * g.n - 4:
         raise PreconditionFailedError("|E| = 2n-4 (quadrangulation)")
     proper_three_orientation(g)

@@ -225,8 +225,8 @@ def proper_three_orientation(g):
     >= 3 = k+1 for k = 2.
     """
     part = bipartition(g)
-    if min_degree(g) < 3:
-        raise MinDegreeTooSmallError(min_degree(g))
+    if (low := min_degree(g)) < 3:
+        raise MinDegreeTooSmallError(low)
     return proper_bipartite_orientation(g, part, X, 2)
 
 

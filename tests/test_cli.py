@@ -286,6 +286,10 @@ ERROR_TABLE = {
         ["decode", "-k", "2", "--model", "{model}"], C4,
         {"model": "c solver output\ns SATISFIABLE\nv 1 -2 zz 0\n"}, 2, 3,
     ),
+    # a model that sets a variable both ways is no model: a domain error
+    "decode-contradictory-model": (
+        ["decode", "-k", "2", "--model", "{model}"], C4, {"model": "v 1 -1 2 3 4 0\n"}, 1, None,
+    ),
     "proper3-no-vertices": (["proper3"], "0 0 planar\n", {}, 1, None),
     "verify-underscore-digits": (["verify"], "0 1_0\n", {}, 2, 1),
     "verify-plus-sign": (["verify"], "0 +1\n", {}, 2, 1),

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import random
 import sys
 
@@ -6,9 +7,9 @@ import pytest
 
 from conftest import random_bipartite_graph
 from orientkit.cnf import decode_model, dpll, export_cnf
-from orientkit.errors import IncompleteModelError
+from orientkit.errors import BadParamsError, IncompleteModelError
 from orientkit.exact import exists_proper_k
-from orientkit.generators import complete_bipartite, cycle, path, q3, star, theorem4
+from orientkit.generators import complete_bipartite, cycle, path, pdw, q3, star, theorem4
 from orientkit.graphs import parse_graph
 from orientkit.orientation import verify_orientation
 
@@ -45,6 +46,18 @@ def test_truncated_model_rejected():
         decode_model(g, 2, [1, -2])
 
 
+@pytest.mark.parametrize("model, var", [
+    ([1, -1, 2, 3, 4], 1),
+    ([-4, 1, 2, 3, 4], 4),
+    ([1, 2, 3, 4, 9, -9], 9),  # an auxiliary variable is no exception
+])
+def test_contradictory_model_rejected(model, var):
+    # letting the last literal win would decode [1, -1, 2, 3, 4] on C4 to an
+    # improper orientation
+    with pytest.raises(IncompleteModelError, match=f"^variable {var} set both"):
+        decode_model(cycle(4), 2, model)
+
+
 def test_theorem4_direction_variable_count():
     g = theorem4(0)
     doc = export_cnf(g, 3)
@@ -64,6 +77,51 @@ def test_dimacs_shape():
     assert int(nvars) == doc.num_vars
     assert int(nclauses) == len(doc.clauses)
     assert all(l.endswith(" 0") for l in lines if not l.startswith(("c", "p")))
+
+
+def test_huge_k_adds_no_work():
+    # no bound binds at k >= the largest degree, and the properness clauses
+    # stop at the shorter register, so k = 10**9 gives the k = 2 clauses at once
+    g = cycle(4)
+    assert export_cnf(g, 10**9).clauses == export_cnf(g, 2).clauses
+
+
+# sha256 of export_cnf(g, k).to_dimacs() for k = 1..4: the whole text, so any
+# change to a clause, its literal order or the variable numbering shows here
+DIMACS_SHA256 = {
+    "q3()": (
+        "1b60803cf84f3e3c1167dead782db942eb2decc3c53fa8c01df620a0941272ff",
+        "11f0147392106ccd3297cdb72d00591166330d76a0eebe1beac1d84dd0878924",
+        "c271cab0b3e38c60fed8ed1eed3e3efe21414a01a1686bf9071294be5a4720d2",
+        "65e34f975304d461e36455968c99034c089d039143254594ccfe63df586a053a",
+    ),
+    "pdw(8)": (
+        "1ec61073935d2225a3499e247d89276b946d16b8de0ac25f1e278e4fd4965214",
+        "fdfe0e52193e708d64d29c99a540330e0cb1cb94d264a07cc2afe7cf51badfdb",
+        "3f271582665eba63a228f19f59f451df43f91dc65b096196ce3051d26b64280e",
+        "c7a1df7dbe74aba75be6057f0c9b37d7ec9bdd32d823c180515b8f020a3ffe3c",
+    ),
+    "cycle(6)": (
+        "d8e016fcb35c01442aba3859025f3699c9428358cecd3fc5a1783c49e859f00f",
+        "b9fab7359133e0e27cbeb7288da1cc241dcdbaa15f22360148801d2916e32740",
+        "0a6acc2dd8b47f58f2fb9372c98137171ccb551cba01249734e3366af1762113",
+        "1b25e836b89536130b377110492069cdcb87b44a632079bbf4f016d264d5228b",
+    ),
+    "theorem4(0)": (
+        "7b7dae40b13601e6866fbe2312345c0edab63c96edfc4a9038b415c8443abcdb",
+        "8523d4433cf309e85154998e9ab08c77a117f243e1bc33a54ea7db1fb508c7d6",
+        "3984c58d44a3ea8ade96f989d107f3871de4573c96af4070404e627a87f00933",
+        "8845bc4567c5817446d03c168bd37a2f261d978b564b5042ea3b14e72216d413",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", DIMACS_SHA256)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_dimacs_text_is_pinned(spec, k):
+    g = {"q3()": q3(), "pdw(8)": pdw(8), "cycle(6)": cycle(6), "theorem4(0)": theorem4(0)}[spec]
+    text = export_cnf(g, k).to_dimacs()
+    assert hashlib.sha256(text.encode()).hexdigest() == DIMACS_SHA256[spec][k - 1]
 
 
 CORPUS = [
@@ -176,14 +234,17 @@ def reference_dpll(clauses, num_vars):
 
 
 def random_cnf(rng):
-    """Clauses over 1..num_vars and up to three variables above it, with
-    empty, unit, repeated-literal and complementary-literal clauses."""
+    """Clauses over 1..num_vars with empty, unit, repeated-literal and
+    complementary-literal clauses; about one draw in six may also name 0 or
+    up to three variables above num_vars."""
     num_vars = rng.randint(0, 8)
-    top = num_vars + rng.randint(1, 3)
+    low, top = 1, num_vars
+    if rng.random() < 0.17:
+        low, top = rng.choice((0, 1)), num_vars + rng.randint(1, 3)
     clauses = []
     for _ in range(rng.randint(0, 16)):
-        size = 0 if rng.random() < 0.02 else rng.choice((1, 2, 2, 3, 3, 3, 4))
-        clause = [rng.choice((-1, 1)) * rng.randint(1, top) for _ in range(size)]
+        size = 0 if top == 0 or rng.random() < 0.02 else rng.choice((1, 2, 2, 3, 3, 3, 4))
+        clause = [rng.choice((-1, 1)) * rng.randint(low, top) for _ in range(size)]
         if clause and rng.random() < 0.15:
             clause.insert(rng.randint(0, len(clause)), rng.choice(clause))
         if clause and rng.random() < 0.1:
@@ -194,11 +255,17 @@ def random_cnf(rng):
 
 def test_dpll_matches_the_reference_on_random_cnfs():
     rng = random.Random(14)
-    seen = dict.fromkeys(("empty", "unit", "repeat", "complement", "above", "no vars",
-                          "sat", "unsat"), 0)
+    seen = dict.fromkeys(("empty", "unit", "repeat", "complement", "no vars", "sat",
+                          "unsat", "outside", "zero"), 0)
     for _ in range(3000):
         clauses, num_vars = random_cnf(rng)
         before = copy.deepcopy(clauses)
+        if any(not 0 < abs(lit) <= num_vars for c in clauses for lit in c):
+            with pytest.raises(BadParamsError):
+                dpll(clauses, num_vars)
+            seen["outside"] += 1
+            seen["zero"] += any(0 in c for c in clauses)
+            continue
         model = dpll(clauses, num_vars)
         assert clauses == before, "dpll changed the caller's clauses"
         assert model == reference_dpll(clauses, num_vars), (clauses, num_vars)
@@ -206,22 +273,28 @@ def test_dpll_matches_the_reference_on_random_cnfs():
         seen["unit"] += any(len(c) == 1 for c in clauses)
         seen["repeat"] += any(len(set(c)) < len(c) for c in clauses)
         seen["complement"] += any(-lit in c for c in clauses for lit in c)
-        seen["above"] += any(abs(lit) > num_vars for c in clauses for lit in c)
         seen["no vars"] += num_vars == 0
         seen["sat" if model is not None else "unsat"] += 1
     assert min(seen.values()) >= 100, seen
 
 
 @pytest.mark.parametrize("clauses, num_vars, model", [
-    ([[4]], 1, [1]),                       # a unit above num_vars is propagated
-    ([[4], [-4]], 1, None),                # and can conflict
-    ([[-1, 4, 4], [-1, -4, -4]], 1, [1]),  # a repeated literal is never a unit
+    ([[4]], 1, BadParamsError),                    # a variable above num_vars
+    ([[4], [-4]], 1, BadParamsError),
+    ([[-1, 4, 4], [-1, -4, -4]], 1, BadParamsError),
     ([[]], 3, None),
     ([], 0, []),
     ([[1, -1], [-2]], 2, [1, -2]),
+    ([[2, 3], [-2, -3], [2, -3], [-2, 3]], 1, BadParamsError),  # unsatisfiable over 2, 3
+    ([[1, 0]], 1, BadParamsError),                 # 0 ends a DIMACS clause, it is no literal
+    ([[-1, 2, 2], [-1, -2, -2]], 2, [-1, 2]),      # a repeated literal is never a unit
 ])
 def test_dpll_corner_cases(clauses, num_vars, model):
-    assert dpll(clauses, num_vars) == model == reference_dpll(clauses, num_vars)
+    if model is BadParamsError:
+        with pytest.raises(BadParamsError):
+            dpll(clauses, num_vars)
+    else:
+        assert dpll(clauses, num_vars) == model == reference_dpll(clauses, num_vars)
 
 
 @pytest.mark.parametrize("g", CORPUS, ids=range(len(CORPUS)))

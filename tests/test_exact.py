@@ -222,6 +222,29 @@ def test_quadrangulation_number_on_unflagged_graphs_matches_brute_force(nx, ny, 
         assert quadrangulation_number(g) == expected, g.edges
 
 
+def disjoint_union(*graphs):
+    edges, n = [], 0
+    for h in graphs:
+        edges += [(u + n, v + n) for u, v in h.edges]
+        n += h.n
+    return Graph(n=n, edges=tuple(edges))
+
+
+@pytest.mark.parametrize("parts", [
+    (complete_bipartite(3, 4), complete_bipartite(3, 4)),
+    (q3(), complete_bipartite(4, 4)),
+], ids=["2xK34", "cube+K44"])
+def test_quadrangulation_number_of_a_disconnected_graph(parts):
+    # no step of the proof uses connectivity, so a disconnected graph that
+    # passes the other gates gets its value: the largest component value,
+    # found here by brute force
+    g = disjoint_union(*parts)
+    assert g.m == 2 * g.n - 4 and len(connected_components(g)) == 2
+    expected = max(next(k for k in range(5) if brute_force_exists_proper_k(h, k))
+                   for h in parts)
+    assert quadrangulation_number(g) == expected == 3
+
+
 def test_number_edgeless_is_zero():
     result = proper_orientation_number(parse_graph("3 0\n"), 4)
     assert result.value == 0
