@@ -19,10 +19,8 @@ from .cnf import CnfDocument, decode_model, export_cnf
 from .generators import FamilySpec, generate
 from .graphs import (
     Bipartition,
-    EdgeBoundStatus,
     Graph,
     bipartition,
-    euler_quadrangulation_check,
     min_degree,
     parse_graph,
     serialize_graph,
@@ -50,7 +48,6 @@ __all__ = [
     "CertificateReport",
     "CnfDocument",
     "DensityReport",
-    "EdgeBoundStatus",
     "ExactResult",
     "FamilySpec",
     "GadgetResult",
@@ -62,7 +59,6 @@ __all__ = [
     "check_left_pigeonhole",
     "check_right_overflow",
     "decode_model",
-    "euler_quadrangulation_check",
     "exists_proper_k",
     "export_cnf",
     "generate",

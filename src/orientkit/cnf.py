@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BadParamsError, IncompleteModelError
-from .orientation import Orientation
+from .orientation import Orientation, verify_orientation
 
 
 @dataclass
@@ -118,12 +118,16 @@ def export_cnf(g, k):
 
 
 def decode_model(g, k, assignment):
-    """Orientation read off the direction variables of a satisfying model.
+    """Proper k-orientation read off the direction variables of a model.
 
     assignment is a DIMACS-style literal list; every direction variable
-    1..m must appear, and no variable may appear with both signs.  Callers
-    re-verify with verify_orientation.
+    1..m must appear, and no variable may appear with both signs.  The
+    orientation is checked by verify_orientation: an edge whose ends get
+    equal indegrees, or a vertex of indegree above k, is an
+    IncompleteModelError naming it.  k < 1 is a BadParamsError.
     """
+    if k < 1:
+        raise BadParamsError(f"k must be >= 1, got {k}")
     values = {}
     for lit in assignment:
         if lit and values.setdefault(abs(lit), lit > 0) != (lit > 0):
@@ -133,7 +137,17 @@ def decode_model(g, k, assignment):
         if i + 1 not in values:
             raise IncompleteModelError(f"direction variable {i + 1} unassigned")
         direction.append(values[i + 1])
-    return Orientation(graph=g, direction=tuple(direction))
+    sigma = Orientation(graph=g, direction=tuple(direction))
+    report = verify_orientation(g, sigma)
+    indeg = report.indegrees
+    if report.violations:
+        i = report.violations[0]
+        u, v = g.edges[i]
+        raise IncompleteModelError(f"edge {i} = ({u}, {v}) has indegree {indeg[u]} at both ends")
+    if report.max_indegree > k:
+        v = indeg.index(report.max_indegree)
+        raise IncompleteModelError(f"vertex {v} has indegree {indeg[v]} > k = {k}")
+    return sigma
 
 
 def dpll(clauses, num_vars):

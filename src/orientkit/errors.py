@@ -44,10 +44,6 @@ class NotBipartiteError(OrientKitError):
         super().__init__(f"not bipartite (odd cycle {cycle})")
 
 
-class PlanarityNotAssertedError(OrientKitError):
-    pass
-
-
 class TooSmallError(OrientKitError):
     pass
 

@@ -2,15 +2,12 @@
 
 Vertices are dense integers 0..n-1.  Edge indices are stable: edge i is
 ``edges[i]`` for the lifetime of the graph.  Planarity is never computed:
-the header's ``planar`` token sets ``planar_asserted``, which parsing and
-serialization carry through.  Only ``euler_quadrangulation_check`` reads
-it, to classify the claim against the bipartite-planar edge bound
-|E| <= 2n-4; no orientation or orientation number depends on it.
+the header's ``planar`` token sets ``planar_asserted``, an annotation that
+parsing and serialization carry through and nothing reads.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -19,7 +16,6 @@ from .errors import (
     HeaderFormatError,
     NotBipartiteError,
     ParseError,
-    PlanarityNotAssertedError,
     SelfLoopError,
     TooSmallError,
     VertexRangeError,
@@ -79,12 +75,6 @@ class Bipartition:
 
     def vertices_in(self, label):
         return [v for v, s in enumerate(self.side) if s == label]
-
-
-class EdgeBoundStatus(enum.Enum):
-    BELOW_BOUND = "BelowBound"
-    EQUALITY_QUADRANGULATION_CANDIDATE = "EqualityQuadrangulationCandidate"
-    EXCEEDS_BOUND = "ExceedsBound"
 
 
 MAX_DIGITS = 4300  # Python's default int() limit, applied on every version
@@ -216,25 +206,6 @@ def min_degree(g):
     if g.n < 1:
         raise TooSmallError("graph has no vertices")
     return min(g.degrees())
-
-
-def euler_quadrangulation_check(g):
-    """Classify |E| against the bipartite-planar bound 2n-4.
-
-    Equality marks a quadrangulation candidate; exceeding the bound means
-    the planarity assertion is false.
-    """
-    if not g.planar_asserted:
-        raise PlanarityNotAssertedError("planarity not asserted for this graph")
-    if g.n < 4:
-        raise TooSmallError(f"need n >= 4, got n = {g.n}")
-    bipartition(g)  # raises NotBipartiteError when not two-colorable
-    bound = 2 * g.n - 4
-    if g.m < bound:
-        return EdgeBoundStatus.BELOW_BOUND
-    if g.m == bound:
-        return EdgeBoundStatus.EQUALITY_QUADRANGULATION_CANDIDATE
-    return EdgeBoundStatus.EXCEEDS_BOUND
 
 
 def connected_components(g):

@@ -267,6 +267,9 @@ def test_gen_to_file(tmp_path, capsys):
 
 
 C4 = serialize_graph(cycle(4))
+# dpll's model of export_cnf(cycle(4), 2): arcs 0->1, 1->2, 3->2, 0->3, so
+# vertex 2 takes indegree 2
+C4_K2_MODEL = "v 1 2 -3 -4 -5 -6 -7 8 9 -10 11 12 13 -14 15 -16 0\n"
 
 # (argv, stdin, files written to tmp_path, exit code, offending line or None);
 # "{name}" in argv is replaced by the path of that file.
@@ -289,6 +292,16 @@ ERROR_TABLE = {
     # a model that sets a variable both ways is no model: a domain error
     "decode-contradictory-model": (
         ["decode", "-k", "2", "--model", "{model}"], C4, {"model": "v 1 -1 2 3 4 0\n"}, 1, None,
+    ),
+    # decode checks its model against -k: a k = 2 model is no proper 1-orientation
+    "decode-k-1-with-a-k-2-model": (
+        ["decode", "-k", "1", "--model", "{model}"], C4, {"model": C4_K2_MODEL}, 1, None,
+    ),
+    "decode-k-zero": (
+        ["decode", "-k", "0", "--model", "{model}"], C4, {"model": C4_K2_MODEL}, 2, None,
+    ),
+    "decode-negative-k": (
+        ["decode", "-k", "-5", "--model", "{model}"], C4, {"model": C4_K2_MODEL}, 2, None,
     ),
     "proper3-no-vertices": (["proper3"], "0 0 planar\n", {}, 1, None),
     "verify-underscore-digits": (["verify"], "0 1_0\n", {}, 2, 1),
@@ -397,10 +410,22 @@ def test_exact_on_a_large_pseudo_double_wheel(capsys, monkeypatch):
 
 def test_decode_skips_dimacs_comment_and_status_lines(tmp_path, capsys, monkeypatch):
     model = tmp_path / "model.txt"
-    model.write_text("c solved\ns SATISFIABLE\nv 1 2\nv 3 4 0\n")
+    model.write_text("c solved\ns SATISFIABLE\nv 1 2\nv -3 -4 0\n")
     feed(monkeypatch, C4)
     assert run(["decode", "-k", "2", "--model", str(model)]) == 0
-    assert capsys.readouterr().out == "0 1\n1 2\n2 3\n3 0\n"
+    assert capsys.readouterr().out == "0 1\n1 2\n3 2\n0 3\n"
+
+
+@pytest.mark.parametrize("k, model, err", [
+    ("1", C4_K2_MODEL, "error: vertex 2 has indegree 2 > k = 1\n"),
+    # the directed cycle: every vertex has indegree 1
+    ("2", "v 1 2 3 4 0\n", "error: edge 0 = (0, 1) has indegree 1 at both ends\n"),
+], ids=["vertex-above-k", "tied-edge"])
+def test_decode_names_what_refutes_the_model(k, model, err, tmp_path, capsys, monkeypatch):
+    (tmp_path / "model.txt").write_text(model)
+    feed(monkeypatch, C4)
+    assert run(["decode", "-k", k, "--model", str(tmp_path / "model.txt")]) == 1
+    assert capsys.readouterr() == ("", err)
 
 
 def test_gen_non_integer_parameter(capsys):

@@ -58,6 +58,23 @@ def test_contradictory_model_rejected(model, var):
         decode_model(cycle(4), 2, model)
 
 
+@pytest.mark.parametrize("k, model, error, match", [
+    # a k = 2 model puts indegree 2 on vertex 2
+    (1, None, IncompleteModelError, r"^vertex 2 has indegree 2 > k = 1$"),
+    # the directed cycle 0 -> 1 -> 2 -> 3 -> 0 ties every edge
+    (2, [1, 2, 3, 4], IncompleteModelError, r"^edge 0 = \(0, 1\) has indegree 1 at both ends$"),
+    (0, None, BadParamsError, r"^k must be >= 1, got 0$"),
+    (-5, None, BadParamsError, r"^k must be >= 1, got -5$"),
+], ids=["vertex-above-k", "tied-edge", "k-zero", "negative-k"])
+def test_decode_checks_its_k(k, model, error, match):
+    g = cycle(4)
+    if model is None:
+        doc = export_cnf(g, 2)
+        model = dpll(doc.clauses, doc.num_vars)
+    with pytest.raises(error, match=match):
+        decode_model(g, k, model)
+
+
 def test_theorem4_direction_variable_count():
     g = theorem4(0)
     doc = export_cnf(g, 3)
@@ -154,8 +171,11 @@ def test_sat_agrees_on_random_bipartite():
         g = random_bipartite_graph(rng, 3, 4, 2)
         for k in (1, 2):
             doc = export_cnf(g, k)
-            sat = dpll(doc.clauses, doc.num_vars) is not None
+            model = dpll(doc.clauses, doc.num_vars)
+            sat = model is not None
             assert sat == (exists_proper_k(g, k) is not None)
+            if sat:  # every SAT model passes decode's own check
+                decode_model(g, k, model)
 
 
 def test_dpll_needs_no_recursion():

@@ -5,18 +5,15 @@ from orientkit.errors import (
     HeaderFormatError,
     NotBipartiteError,
     ParseError,
-    PlanarityNotAssertedError,
     SelfLoopError,
     TooSmallError,
     VertexRangeError,
 )
 from orientkit.generators import cycle, pdw, q3, theorem4
 from orientkit.graphs import (
-    EdgeBoundStatus,
     Graph,
     bipartition,
     connected_components,
-    euler_quadrangulation_check,
     min_degree,
     parse_graph,
     read_ints,
@@ -182,41 +179,6 @@ def test_min_degree():
     assert min_degree(theorem4(0)) == 2
     with pytest.raises(TooSmallError):
         min_degree(Graph(n=0, edges=()))
-
-
-def test_euler_check_q3():
-    status = euler_quadrangulation_check(q3())
-    assert status is EdgeBoundStatus.EQUALITY_QUADRANGULATION_CANDIDATE
-
-
-def test_euler_check_below_bound():
-    # C4 plus a pendant path: n = 6, m = 6 < 2n-4 = 8
-    g = Graph(
-        n=6,
-        edges=((0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)),
-        planar_asserted=True,
-    )
-    assert euler_quadrangulation_check(g) is EdgeBoundStatus.BELOW_BOUND
-
-
-def test_euler_check_exceeds_bound():
-    # K_{3,4} is bipartite with m = 12 > 2*7-4 = 10: the assertion is a lie
-    edges = tuple((i, 3 + j) for i in range(3) for j in range(4))
-    g = Graph(n=7, edges=edges, planar_asserted=True)
-    assert euler_quadrangulation_check(g) is EdgeBoundStatus.EXCEEDS_BOUND
-
-
-def test_euler_check_gates():
-    with pytest.raises(PlanarityNotAssertedError):
-        euler_quadrangulation_check(Graph(n=4, edges=((0, 1),)))
-    with pytest.raises(TooSmallError):
-        euler_quadrangulation_check(
-            Graph(n=2, edges=((0, 1),), planar_asserted=True)
-        )
-    with pytest.raises(NotBipartiteError):
-        euler_quadrangulation_check(
-            Graph(n=5, edges=((0, 1), (1, 2), (2, 0)), planar_asserted=True)
-        )
 
 
 def test_connected_components():
