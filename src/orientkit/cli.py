@@ -161,8 +161,10 @@ def _parse_family(token):
 
 def _cmd_gen(args):
     spec = _parse_family(args.family)
+    if args.id_table and spec.family != "theorem4":
+        raise BadParamsError("--id-table needs the t4 family")
     text = serialize_graph(generate(spec))
-    if args.id_table and spec.family == "theorem4":
+    if args.id_table:
         for role, (first, last) in theorem4_id_table(*spec.params).items():
             print(f"# {role}: {first}..{last}", file=sys.stderr)
     return text

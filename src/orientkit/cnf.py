@@ -52,11 +52,6 @@ def export_cnf(g, k):
     clauses = []
     next_var = m + 1
 
-    def fresh():
-        nonlocal next_var
-        next_var += 1
-        return next_var - 1
-
     # incoming[v] = literals true exactly when the corresponding arc enters v
     incoming = [[] for _ in range(g.n)]
     for i, (u, v) in enumerate(g.edges):
@@ -69,9 +64,10 @@ def export_cnf(g, k):
         deg = len(lits)
         width = min(deg, k)
         # s[i][j] for partial sums over the first i literals, 1 <= j <= min(i, width)
-        prev = []
+        prev = range(0)
         for i, lit in enumerate(lits, start=1):
-            cur = [fresh() for _ in range(min(i, width))]
+            cur = range(next_var, next_var + min(i, width))
+            next_var = cur.stop
             for j in range(1, len(cur) + 1):
                 s_ij = cur[j - 1]
                 s_prev_j = prev[j - 1] if j <= len(prev) else None  # None = false

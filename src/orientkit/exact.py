@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .density import pseudoarboricity
-from .errors import ExceedsCapError, NotBipartiteError, PreconditionFailedError
+from .errors import BadParamsError, ExceedsCapError, NotBipartiteError, PreconditionFailedError
 from .graphs import bipartition
 from .orientation import Orientation, proper_three_orientation
 
@@ -106,7 +106,10 @@ def proper_orientation_number(g, k_max):
 
     Scans upward from the pseudoarboricity, a valid lower bound since any
     orientation of G has max indegree at least that (0 for an edgeless G).
+    k_max < 0 is a BadParamsError.
     """
+    if k_max < 0:
+        raise BadParamsError(f"k_max must be >= 0, got {k_max}")
     for k in range(pseudoarboricity(g), k_max + 1):
         witness = exists_proper_k(g, k)
         if witness is not None:

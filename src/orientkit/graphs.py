@@ -8,7 +8,6 @@ parsing and serialization carry through and nothing reads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -156,47 +155,57 @@ def serialize_graph(g):
     return header + "\n" + body
 
 
+def _bfs_forest(g):
+    """Breadth-first search from each unvisited vertex, in id order.
+
+    Returns (components in discovery order, parent, depth, odd), where odd
+    is the first edge (u, v) in scan order whose ends have equal depth, or
+    None.  A root has parent -1 and depth 0.
+    """
+    adjacency = g.adjacency
+    parent = [-1] * g.n
+    depth = [-1] * g.n
+    comps = []
+    odd = None
+    for root in range(g.n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        comp = [root]
+        for u in comp:  # comp is the queue: it grows while it is scanned
+            du = depth[u]
+            for v, _ in adjacency[u]:
+                if depth[v] < 0:
+                    depth[v] = du + 1
+                    parent[v] = u
+                    comp.append(v)
+                elif depth[v] == du and odd is None:
+                    odd = (u, v)
+        comps.append(comp)
+    return comps, parent, depth, odd
+
+
 def bipartition(g):
     """Two-color by BFS layering, per connected component.
 
     Each component's smallest vertex gets class X.  Raises
     NotBipartiteError with an explicit odd cycle otherwise.
     """
-    side = [None] * g.n
-    parent = [-1] * g.n
-    depth = [0] * g.n
-    for root in range(g.n):
-        if side[root] is not None:
-            continue
-        side[root] = X
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, _ in g.adjacency[u]:
-                if side[v] is None:
-                    side[v] = Y if side[u] == X else X
-                    parent[v] = u
-                    depth[v] = depth[u] + 1
-                    queue.append(v)
-                elif side[v] == side[u]:
-                    raise NotBipartiteError(_odd_cycle(parent, depth, u, v))
-    return Bipartition(side=tuple(side))
+    # a BFS edge joins depths that differ by at most one, so depth parity is
+    # a proper colouring unless some edge joins equal depths
+    _, parent, depth, odd = _bfs_forest(g)
+    if odd is not None:
+        raise NotBipartiteError(_odd_cycle(parent, *odd))
+    return Bipartition(side=tuple(Y if d & 1 else X for d in depth))
 
 
-def _odd_cycle(parent, depth, u, v):
-    up, vp = u, v
+def _odd_cycle(parent, u, v):
+    # u and v sit at equal depth, so their tree paths meet after equal steps
     path_u, path_v = [u], [v]
-    while depth[up] > depth[vp]:
-        up = parent[up]
-        path_u.append(up)
-    while depth[vp] > depth[up]:
-        vp = parent[vp]
-        path_v.append(vp)
-    while up != vp:
-        up = parent[up]
-        vp = parent[vp]
-        path_u.append(up)
-        path_v.append(vp)
+    while u != v:
+        u, v = parent[u], parent[v]
+        path_u.append(u)
+        path_v.append(v)
     # path_u ends at the meeting vertex; close the cycle back to v.
     return path_u + path_v[-2::-1]
 
@@ -210,20 +219,4 @@ def min_degree(g):
 
 def connected_components(g):
     """List of vertex lists, one per component, in discovery order."""
-    seen = [False] * g.n
-    comps = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp = [root]
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, _ in g.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(comp)
-    return comps
+    return _bfs_forest(g)[0]

@@ -195,9 +195,9 @@ def proper_bipartite_orientation(g, part, x_class, k):
     direction = list(sigma.direction)
     indeg = sigma.indegrees()
     for x in x_vertices:
+        # need >= 1: the k-orientation gives indeg[x] <= k, and no flip for
+        # another vertex of X touched x, since X is independent
         need = (k + 1) - indeg[x]
-        if need <= 0:
-            continue
         # adjacency lists edges by index, so the lowest-index arcs flip first
         for w, i in g.adjacency[x]:
             u, v = g.edges[i]

@@ -260,6 +260,27 @@ def test_verify_huge_id_under_a_memory_limit(tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (0, "proper=true max_indegree=1\n", "")
 
 
+def test_gen_t4_id_table(capsys):
+    assert run(["gen", "t4:2"]) == 0
+    plain = capsys.readouterr()
+    assert run(["gen", "t4:2", "--id-table"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain.out
+    assert captured.err == (
+        "# a: 0..111\n# b: 112..127\n# c: 128..143\n# d: 144..171\n# p: 172..175\n"
+        "# q: 176..179\n# s: 180..180\n# t: 181..181\n# extra: 182..183\n"
+    )
+
+
+def test_quad_names_the_edge_count_gate(capsys, monkeypatch):
+    # C6 is bipartite with m = 6 != 2n - 4 = 8
+    feed(monkeypatch, serialize_graph(cycle(6)))
+    assert run(["quad"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: precondition failed: |E| = 2n-4 (quadrangulation)\n"
+    )
+
+
 def test_gen_to_file(tmp_path, capsys):
     target = tmp_path / "g.txt"
     assert run(["gen", "pdw:4", "-o", str(target)]) == 0
@@ -304,6 +325,14 @@ ERROR_TABLE = {
         ["decode", "-k", "-5", "--model", "{model}"], C4, {"model": C4_K2_MODEL}, 2, None,
     ),
     "proper3-no-vertices": (["proper3"], "0 0 planar\n", {}, 1, None),
+    "exact-negative-kmax": (["exact", "--kmax", "-1"], C4, {}, 2, None),
+    # the id table is the theorem-4 layout's; another family has none
+    "gen-id-table-on-q3": (["gen", "q3", "--id-table"], "", {}, 2, None),
+    "gen-t4-negative-extra": (["gen", "t4:-1"], "", {}, 2, None),
+    "gen-kbip-empty-side": (["gen", "kbip:0,3"], "", {}, 2, None),
+    "gen-path-no-vertices": (["gen", "path:0"], "", {}, 2, None),
+    "gen-cycle-of-two": (["gen", "cycle:2"], "", {}, 2, None),
+    "gen-star-no-leaf": (["gen", "star:0"], "", {}, 2, None),
     "verify-underscore-digits": (["verify"], "0 1_0\n", {}, 2, 1),
     "verify-plus-sign": (["verify"], "0 +1\n", {}, 2, 1),
     "verify-non-ascii-digit": (["verify"], "0 \u0661\n", {}, 2, 1),

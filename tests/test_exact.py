@@ -11,7 +11,12 @@ from conftest import (
     relabel,
 )
 from orientkit.density import pseudoarboricity
-from orientkit.errors import ExceedsCapError, PreconditionFailedError, PreconditionMadError
+from orientkit.errors import (
+    BadParamsError,
+    ExceedsCapError,
+    PreconditionFailedError,
+    PreconditionMadError,
+)
 from orientkit.exact import (
     exists_proper_k,
     is_q3,
@@ -96,6 +101,13 @@ def test_number_q3():
 def test_number_exceeds_cap():
     with pytest.raises(ExceedsCapError):
         proper_orientation_number(cycle(4), 1)
+
+
+def test_number_refuses_a_negative_cap():
+    with pytest.raises(BadParamsError):
+        proper_orientation_number(cycle(4), -1)
+    # a cap of 0 is a question, answered on an edgeless graph
+    assert proper_orientation_number(Graph(n=3, edges=()), 0).value == 0
 
 
 def test_number_at_least_pseudoarboricity():

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from conftest import _two_colouring, relabel
 from orientkit.errors import (
     DuplicateEdgeError,
     HeaderFormatError,
@@ -171,6 +174,43 @@ def test_bipartition_odd_cycle_in_larger_graph():
     edge_set = {frozenset(e) for e in g.edges}
     for a, b in zip(odd, odd[1:] + odd[:1]):
         assert frozenset((a, b)) in edge_set
+
+
+def _random_graph(rng):
+    """A random graph of up to 40 vertices: bipartite or not, often
+    disconnected, often with isolated vertices, with shuffled ids."""
+    n = rng.randint(1, 40)
+    p = rng.choice([0.03, 0.08, 0.2])
+    if rng.random() < 0.5:  # bipartite: edges only across a random split
+        left = {v for v in range(n) if rng.random() < 0.5}
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if (u in left) != (v in left) and rng.random() < p]
+    else:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return relabel(rng, Graph(n=n, edges=tuple(pairs)))
+
+
+def test_bipartition_is_a_colouring_or_an_odd_cycle_on_random_graphs():
+    rng = random.Random(1717)
+    outcomes = set()
+    for _ in range(600):
+        g = _random_graph(rng)
+        try:
+            side = bipartition(g).side
+        except NotBipartiteError as exc:
+            outcomes.add("odd")
+            odd = exc.odd_cycle
+            assert len(odd) % 2 == 1 and len(set(odd)) == len(odd)
+            edge_set = {frozenset(e) for e in g.edges}
+            for a, b in zip(odd, odd[1:] + odd[:1]):
+                assert frozenset((a, b)) in edge_set
+        else:
+            outcomes.add("bipartite")
+            assert all(side[u] != side[v] for u, v in g.edges)
+            # a proper 2-colouring is unique per component once its smallest
+            # vertex is fixed, so it must equal conftest's independent one
+            assert side == tuple("XY"[c] for c in _two_colouring(g))
+    assert outcomes == {"odd", "bipartite"}
 
 
 def test_min_degree():

@@ -257,3 +257,7 @@ def test_verify_size_mismatch():
     sigma = Orientation(graph=other, direction=(True,) * 6)
     with pytest.raises(SizeMismatchError):
         verify_orientation(g, sigma)
+    short = Orientation(graph=g, direction=(True,) * 3)
+    with pytest.raises(SizeMismatchError) as exc:
+        verify_orientation(g, short)
+    assert str(exc.value) == "orientation has 3 directions for 4 edges"
