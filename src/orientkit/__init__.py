@@ -38,7 +38,6 @@ from .t4proof import (
     CertificateReport,
     GadgetResult,
     check_left_pigeonhole,
-    check_right_overflow,
     verify_lower_bound_certificate,
     witness_four_orientation,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "OrientationReport",
     "bipartition",
     "check_left_pigeonhole",
-    "check_right_overflow",
     "decode_model",
     "exists_proper_k",
     "export_cnf",

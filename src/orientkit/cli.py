@@ -6,9 +6,10 @@ Orientations are m lines "u v" meaning arc u -> v, in edge-index order.
 
 Every text input (graph, arc list, orientation file, model file) is read
 whole by ``_read_text`` and split by ``str.splitlines()``.  Every command
-returns its stdout text (``check-t4`` also its exit code), and only ``run()``
-writes it, to stdout or to ``-o FILE``, once the command has succeeded; so an
-error leaves stdout empty.
+returns its stdout text (``check-t4`` also its exit code, ``gen --id-table``
+also its stderr text), and only ``run()`` writes them, to stdout or to
+``-o FILE`` and then to stderr, once the command has succeeded; so an error
+leaves stdout empty and prints one ``error:`` line.
 Exit codes: 0 success, 1 domain error, 2 usage, parse or I/O error (closed
 stdin or stdout included).
 """
@@ -164,10 +165,10 @@ def _cmd_gen(args):
     if args.id_table and spec.family != "theorem4":
         raise BadParamsError("--id-table needs the t4 family")
     text = serialize_graph(generate(spec))
-    if args.id_table:
-        for role, (first, last) in theorem4_id_table(*spec.params).items():
-            print(f"# {role}: {first}..{last}", file=sys.stderr)
-    return text
+    if not args.id_table:
+        return text
+    table = theorem4_id_table(*spec.params).items()
+    return text, 0, "".join(f"# {role}: {first}..{last}\n" for role, (first, last) in table)
 
 
 def _cmd_verify(args):
@@ -303,9 +304,11 @@ def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        result = args.func(args)  # the stdout text, or (text, exit code)
-        text, code = result if isinstance(result, tuple) else (result, 0)
+        result = args.func(args)  # the stdout text, or (text, exit code[, stderr text])
+        text, code, *note = result if isinstance(result, tuple) else (result, 0)
         _write_text(getattr(args, "output", None), text)
+        if note:  # stderr text goes out only once the stdout text is written
+            print(note[0], end="", file=sys.stderr)
         return code
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

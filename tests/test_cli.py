@@ -14,6 +14,7 @@ from orientkit.cli import main, run
 from orientkit.graphs import parse_graph
 from orientkit.generators import q3, cycle, pdw
 from orientkit.graphs import serialize_graph
+from orientkit.t4proof import check_left_pigeonhole
 
 
 def feed(monkeypatch, text):
@@ -105,8 +106,9 @@ def test_closed_stdin(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["gen", "q3"], ["quad", "{g}"], ["proper3", "{g}"], ["check-t4"],
-], ids=["gen", "quad", "proper3", "check-t4"])
+    ["gen", "q3"], ["gen", "t4:0", "--id-table"], ["quad", "{g}"], ["proper3", "{g}"],
+    ["check-t4"],
+], ids=["gen", "gen-id-table", "quad", "proper3", "check-t4"])
 def test_closed_stdout(argv, tmp_path, capsys, monkeypatch):
     # started with stdout closed ("orientkit gen q3 >&-"), Python sets sys.stdout to None
     (tmp_path / "g.txt").write_text(serialize_graph(q3()))
@@ -200,6 +202,19 @@ def test_check_t4(capsys):
     assert "step1: ok [16384 orientations]" in out
 
 
+def test_check_t4_failing_certificate(capsys, monkeypatch):
+    # a hub cap of 4 breaks step 1: exit 1, the report on stdout, nothing on stderr
+    failures = len(check_left_pigeonhole(7, 4).counterexamples)
+    monkeypatch.setattr("orientkit.t4proof.check_left_pigeonhole",
+                        lambda left, cap: check_left_pigeonhole(left, cap + 1))
+    assert run(["check-t4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert f"step1: FAILED ({failures} counterexamples) [16384 orientations]" in lines
+    assert lines[-1] == "chi_orient = 4 certified: false"
+
+
 def test_check_t4_emit_witness(tmp_path, capsys):
     target = tmp_path / "witness.txt"
     assert run(["check-t4", "--extra", "1", "--emit-witness", str(target)]) == 0
@@ -260,16 +275,19 @@ def test_verify_huge_id_under_a_memory_limit(tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (0, "proper=true max_indegree=1\n", "")
 
 
-def test_gen_t4_id_table(capsys):
-    assert run(["gen", "t4:2"]) == 0
-    plain = capsys.readouterr()
-    assert run(["gen", "t4:2", "--id-table"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == plain.out
-    assert captured.err == (
+def test_gen_t4_id_table(tmp_path, capsys):
+    table = (
         "# a: 0..111\n# b: 112..127\n# c: 128..143\n# d: 144..171\n# p: 172..175\n"
         "# q: 176..179\n# s: 180..180\n# t: 181..181\n# extra: 182..183\n"
     )
+    assert run(["gen", "t4:2"]) == 0
+    plain = capsys.readouterr()
+    assert run(["gen", "t4:2", "--id-table"]) == 0
+    assert capsys.readouterr() == (plain.out, table)
+    target = tmp_path / "g.txt"
+    assert run(["gen", "t4:2", "--id-table", "-o", str(target)]) == 0
+    assert capsys.readouterr() == ("", table)
+    assert target.read_text() == plain.out
 
 
 def test_quad_names_the_edge_count_gate(capsys, monkeypatch):
@@ -328,6 +346,11 @@ ERROR_TABLE = {
     "exact-negative-kmax": (["exact", "--kmax", "-1"], C4, {}, 2, None),
     # the id table is the theorem-4 layout's; another family has none
     "gen-id-table-on-q3": (["gen", "q3", "--id-table"], "", {}, 2, None),
+    # -o into a directory that does not exist: the id table, written only
+    # after the graph, must not precede the error line
+    "gen-id-table-to-a-missing-dir": (
+        ["gen", "t4:0", "--id-table", "-o", "{g}-missing/x.txt"], "", {"g": ""}, 2, None,
+    ),
     "gen-t4-negative-extra": (["gen", "t4:-1"], "", {}, 2, None),
     "gen-kbip-empty-side": (["gen", "kbip:0,3"], "", {}, 2, None),
     "gen-path-no-vertices": (["gen", "path:0"], "", {}, 2, None),

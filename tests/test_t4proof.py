@@ -5,7 +5,6 @@ from orientkit.generators import theorem4
 from orientkit.orientation import verify_orientation
 from orientkit.t4proof import (
     check_left_pigeonhole,
-    check_right_overflow,
     reduced_scale_crosscheck,
     shrunken_instance,
     verify_lower_bound_certificate,
@@ -17,12 +16,18 @@ def test_pigeonhole_main_case():
     result = check_left_pigeonhole(7, 3)
     assert result.ok
     assert result.enumerated_count == 2**14
+    # the right-overflow reading of steps 2a and 3: threshold 4 is cap 3
+    result = check_left_pigeonhole(8, 3)
+    assert result.ok
+    assert result.enumerated_count == 2**16
 
 
 def test_pigeonhole_trivial_case():
     result = check_left_pigeonhole(1, 0)
     assert result.ok
     assert result.enumerated_count == 4
+    # the smallest overflow: two left vertices push one arc into a hub
+    assert check_left_pigeonhole(2, 0).ok
 
 
 def test_pigeonhole_negative_control():
@@ -30,6 +35,11 @@ def test_pigeonhole_negative_control():
     result = check_left_pigeonhole(7, 4)
     assert not result.ok
     assert result.counterexamples
+    # nor does it on K_{8,2}: eight arcs split 4 + 4 stay at the cap
+    mask = check_left_pigeonhole(8, 4).counterexamples[0]
+    in0 = sum(mask >> (2 * i) & 1 for i in range(8))
+    in1 = sum(mask >> (2 * i + 1) & 1 for i in range(8))
+    assert max(in0, in1) == 4  # the balanced split
 
 
 def test_pigeonhole_counterexample_is_real():
@@ -41,41 +51,21 @@ def test_pigeonhole_counterexample_is_real():
     assert all(mask >> (2 * i) & 3 for i in range(7))  # no left vertex takes both
 
 
-def test_overflow_and_pigeonhole_share_one_predicate():
+def test_pigeonhole_matches_a_recount_of_every_mask():
     # recount every mask of K_{L,2}: a counterexample sends an arc from each
-    # left vertex into a hub and leaves both hubs at <= t - 1 arcs
+    # left vertex into a hub and leaves both hubs at <= cap arcs
     for left in range(7):
         masks = range(1 << (2 * left))
-        for t in range(1, 2 * left + 2):
+        for cap in range(2 * left + 1):
             expected = tuple(
                 mask for mask in masks
                 if all(mask >> (2 * i) & 3 for i in range(left))
-                and sum(mask >> (2 * i) & 1 for i in range(left)) <= t - 1
-                and sum(mask >> (2 * i + 1) & 1 for i in range(left)) <= t - 1
+                and sum(mask >> (2 * i) & 1 for i in range(left)) <= cap
+                and sum(mask >> (2 * i + 1) & 1 for i in range(left)) <= cap
             )
-            overflow = check_right_overflow(left, t)
-            assert overflow.counterexamples == expected
-            assert check_left_pigeonhole(left, t - 1).counterexamples == expected
-            assert overflow.enumerated_count == len(masks)
-
-
-def test_overflow_main_case():
-    result = check_right_overflow(8, 4)
-    assert result.ok
-    assert result.enumerated_count == 2**16
-
-
-def test_overflow_smallest_pigeonhole():
-    assert check_right_overflow(2, 1).ok
-
-
-def test_overflow_negative_control():
-    result = check_right_overflow(8, 5)
-    assert not result.ok
-    mask = result.counterexamples[0]
-    in0 = sum(mask >> (2 * i) & 1 for i in range(8))
-    in1 = sum(mask >> (2 * i + 1) & 1 for i in range(8))
-    assert max(in0, in1) == 4  # the balanced split
+            result = check_left_pigeonhole(left, cap)
+            assert result.counterexamples == expected
+            assert result.enumerated_count == len(masks)
 
 
 def test_certificate_default_run():
