@@ -197,6 +197,7 @@ def _cmd_verify(args):
 def _cmd_check_t4(args):
     if args.emit_witness == "-":
         raise BadParamsError("--emit-witness needs a file: stdout carries the report")
+    sigma = witness_four_orientation(args.extra)  # checks --extra before any enumeration
     report = verify_lower_bound_certificate()
     lines = list(report.narrative)
     for name, gadget in (
@@ -209,7 +210,6 @@ def _cmd_check_t4(args):
         lines.append(f"{name}: {status} [{gadget.enumerated_count} orientations]")
     crosscheck = reduced_scale_crosscheck()
     lines.append(f"reduced-scale crosscheck: {'ok' if crosscheck else 'FAILED'}")
-    sigma = witness_four_orientation(args.extra)
     wreport = verify_orientation(sigma.graph, sigma)
     lines.append(
         f"witness (extra={args.extra}): proper={str(wreport.proper).lower()} "

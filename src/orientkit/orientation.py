@@ -89,17 +89,17 @@ class OrientationReport:
 def _spread(g, units, cap):
     """Split each edge's units between its endpoints, at most cap per vertex.
 
-    Returns (load, None), where load[i] is the number of units edge
-    i = (u, v) puts on v, or (None, H) with H the sorted BFS-reached set,
-    for which units*|E(G[H])| > cap*|H|.
+    load[i], the number of units edge i = (u, v) puts on v = second[i], is
+    the only per-edge state: the BFS and the DFS step from x along edge i iff
+    it has units on x, ``load[i] if second[i] == x else load[i] < units``.
+    Returns (load, None), or (None, H) with H the sorted BFS-reached set, for
+    which units*|E(G[H])| > cap*|H|.
     """
     n, adjacency = g.n, g.adjacency
     second = [v for _, v in g.edges]
     flip = [u ^ v for u, v in g.edges]  # x ^ flip[i] is edge i's other end
     lo, hi = units // 2, units - units // 2
     load = [hi] * g.m
-    # bare[i]: the end of edge i that holds none of its units, else -1
-    bare = [u for u, _ in g.edges] if lo == 0 else [-1] * g.m
     held = [0] * n
     for u, v in g.edges:
         held[u] += lo
@@ -116,7 +116,7 @@ def _spread(g, units, cap):
         for x in reached:
             up = level[x] + 1
             for w, i in adjacency[x]:
-                if bare[i] != x and level[w] < 0:
+                if level[w] < 0 and (load[i] if second[i] == x else load[i] < units):
                     level[w] = up
                     reached.append(w)
                     slack = slack or held[w] < cap
@@ -129,7 +129,10 @@ def _spread(g, units, cap):
             path, x = [], s  # path: the edge ids walked from s to x
             while held[s] > cap:
                 arcs, j, up = adjacency[x], nxt[x], level[x] + 1
-                while j < len(arcs) and (bare[arcs[j][1]] == x or level[arcs[j][0]] != up):
+                while j < len(arcs):
+                    w, i = arcs[j]
+                    if level[w] == up and (load[i] if second[i] == x else load[i] < units):
+                        break
                     j += 1
                 nxt[x] = j
                 if j == len(arcs):
@@ -152,12 +155,7 @@ def _spread(g, units, cap):
                             y ^= flip[i]
                         y = s
                     for i in path:
-                        if y == second[i]:
-                            load[i] -= delta
-                            bare[i] = -1 if load[i] else y
-                        else:
-                            load[i] += delta
-                            bare[i] = -1 if load[i] < units else y
+                        load[i] -= delta if y == second[i] else -delta
                         y ^= flip[i]
                     held[s] -= delta
                     held[x] += delta
@@ -203,8 +201,6 @@ def proper_bipartite_orientation(g, part, x_class, k):
             u, v = g.edges[i]
             if (v if direction[i] else u) == w:  # the arc x -> w
                 direction[i] = not direction[i]
-                indeg[x] += 1
-                indeg[w] -= 1
                 need -= 1
                 if need == 0:
                     break

@@ -85,6 +85,13 @@ def relabel(rng, g):
     return Graph(n=g.n, edges=tuple(edges), planar_asserted=g.planar_asserted)
 
 
+def grid(rows, cols):
+    """The rows x cols grid, vertex r*cols + c, row edges before column edges."""
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(n=rows * cols, edges=tuple(edges))
+
+
 def random_connected_graph(rng, n):
     """Random connected simple graph: spanning tree plus random extra edges."""
     edges = set()

@@ -12,8 +12,8 @@ import pytest
 from conftest import flagged_graph_with_no_2_orientation, relabel
 from orientkit.cli import main, run
 from orientkit.graphs import parse_graph
-from orientkit.generators import q3, cycle, pdw
-from orientkit.graphs import serialize_graph
+from orientkit.generators import complete_bipartite, q3, cycle, pdw
+from orientkit.graphs import Y, bipartition, serialize_graph
 from orientkit.t4proof import check_left_pigeonhole
 
 
@@ -65,6 +65,31 @@ def test_proper3_verify_pipeline(capsys, monkeypatch):
     feed(monkeypatch, arcs)
     assert run(["verify"]) == 0
     assert capsys.readouterr().out.strip() == "proper=true max_indegree=3"
+
+
+def test_proper_x_class(tmp_path, capsys, monkeypatch):
+    # --x-class 1 switches on class Y: indegree 3 exactly there; class X
+    # holds vertex 0, so "0" and the default "auto" are the same run
+    g = q3()
+    outputs = {}
+    for x_class in ("1", "0", None):
+        feed(monkeypatch, serialize_graph(g))
+        argv = ["proper", "-k", "2"] + (["--x-class", x_class] if x_class else [])
+        assert run(argv) == 0
+        outputs[x_class] = capsys.readouterr().out
+    assert outputs["0"] == outputs[None] != outputs["1"]
+    sigma = tmp_path / "sigma.txt"
+    sigma.write_text(outputs["1"])
+    feed(monkeypatch, serialize_graph(g))
+    assert run(["verify", "--orientation", str(sigma)]) == 0
+    assert capsys.readouterr().out == "proper=true max_indegree=3\n"
+    side = bipartition(g).side
+    heads = [head for _, head in (map(int, line.split()) for line in outputs["1"].splitlines())]
+    assert [heads.count(v) for v in range(g.n)] == [3 if side[v] == Y else 0 for v in range(g.n)]
+    # class Y of K_{1,3} is its three leaves, and the first one is named
+    feed(monkeypatch, serialize_graph(complete_bipartite(1, 3)))
+    assert run(["proper", "-k", "2", "--x-class", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: vertex 1 has degree 1 <= k = 2\n")
 
 
 @pytest.mark.parametrize("command", ["proper3", "quad"])
@@ -243,6 +268,16 @@ def test_check_t4_refuses_emit_witness_to_stdout(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_check_t4_checks_extra_before_enumerating(capsys, monkeypatch):
+    # a negative --extra is a usage error found before any enumeration
+    monkeypatch.setattr("orientkit.cli.verify_lower_bound_certificate",
+                        mock.Mock(side_effect=AssertionError("enumerated")))
+    assert run(["check-t4", "--extra", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
 def test_verify_bare_arcs_with_sparse_ids(capsys, monkeypatch):
     # only the ids that occur are numbered; 9 -> 5 -> 100000000 ties at 5
     feed(monkeypatch, "9 5\n5 100000000\n")
@@ -323,6 +358,11 @@ ERROR_TABLE = {
     ),
     "orient-negative-k": (["orient", "-k", "-1"], C4, {}, 2, None),
     "proper-k-zero": (["proper", "-k", "0"], C4, {}, 2, None),
+    # switching on class Y of K_{1,3} meets a leaf of degree 1 <= k
+    "proper-x-class-1-on-a-leaf": (
+        ["proper", "-k", "2", "--x-class", "1"], serialize_graph(complete_bipartite(1, 3)),
+        {}, 1, None,
+    ),
     "cnf-k-zero": (["cnf", "-k", "0"], C4, {}, 2, None),
     "decode-non-integer": (
         ["decode", "-k", "2", "--model", "{model}"], C4,

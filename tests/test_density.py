@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -149,6 +150,22 @@ def test_mad_runs_no_max_flow(monkeypatch):
     report = mad_exact(unicyclic(601))
     assert report.mad == Fraction(2)
     assert report.witness == tuple(range(601))
+
+
+# (mad, witness) text, pinned so that a rewrite of the engine must leave it
+# byte-identical
+MAD_SHA256 = {
+    "theorem4(4)": "2c56861f043b4769e3754c15b5f22ebcecd5ada15089a4a1dedc073949418c1e",
+    "block-with-tail": "09963c4ec20f56ba7d63ab59d2b469cc8a97b5fd6b19de73e8ebdf06aec19acd",
+}
+
+
+@pytest.mark.parametrize("name", MAD_SHA256)
+def test_mad_exact_is_pinned(name):
+    g = theorem4(4) if name == "theorem4(4)" else block_with_tail()[0]
+    report = mad_exact(g)
+    text = f"{report.mad}\n" + " ".join(map(str, report.witness)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == MAD_SHA256[name]
 
 
 def test_relabelled_pdw_is_densest_as_a_whole():

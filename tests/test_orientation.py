@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -8,6 +9,7 @@ from conftest import (
     brute_force_k_witness,
     brute_force_mad,
     flagged_graph_with_no_2_orientation,
+    grid,
     random_connected_graph,
     relabel,
     unicyclic,
@@ -20,8 +22,8 @@ from orientkit.errors import (
     PreconditionMadError,
     SizeMismatchError,
 )
-from orientkit.generators import complete_bipartite, cycle, pdw, q3, star
-from orientkit.graphs import Graph, X, bipartition, parse_graph
+from orientkit.generators import complete_bipartite, cycle, pdw, q3, star, theorem4
+from orientkit.graphs import Graph, X, Y, bipartition, parse_graph
 from orientkit.orientation import (
     Infeasible,
     Orientation,
@@ -148,11 +150,12 @@ def test_switching_c4():
 def test_switching_q3():
     g = q3()
     part = bipartition(g)
-    sigma = proper_bipartite_orientation(g, part, X, 2)
-    report = verify_orientation(g, sigma)
-    assert report.proper
-    for v in range(8):
-        assert report.indegrees[v] == (3 if part.side[v] == X else 0)
+    for x_class in (X, Y):
+        sigma = proper_bipartite_orientation(g, part, x_class, 2)
+        report = verify_orientation(g, sigma)
+        assert report.proper
+        for v in range(8):
+            assert report.indegrees[v] == (3 if part.side[v] == x_class else 0)
 
 
 def test_switching_star():
@@ -230,6 +233,57 @@ def test_proper3_refutes_a_false_planar_flag():
         proper_three_orientation(g)
     h = set(exc.value.witness)
     assert sum(u in h and v in h for u, v in g.edges) > 2 * len(h)
+
+
+def _engine_instance(name):
+    return {
+        "pdw(300)": lambda: relabel(random.Random(300), pdw(300)),
+        "grid(30x30)": lambda: relabel(random.Random(30), grid(30, 30)),
+        "theorem4(1)": lambda: theorem4(1),
+    }[name]()
+
+
+def _sha256(result):
+    """The arc text of an orientation, or the witness line of an Infeasible."""
+    if isinstance(result, Infeasible):
+        text = "witness: " + " ".join(map(str, result.witness)) + "\n"
+    else:
+        text = "".join(f"{tail} {head}\n" for tail, head in result.arcs())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# the engine's answers, orientation or witness, are deterministic: any
+# rewrite of _spread or of the switching loop must leave them byte-identical
+K_ORIENTATION_SHA256 = {
+    "pdw(300)": (
+        "30cde0f8622381c74aeb90a038d1da634eaf8fd0694fe5c0dbcfd33b40e290eb",
+        "e82a0d67768c3b31712e44a89ab9f5fc11d2964654539b07f411e62d46ee4418",
+        "6ecfd6c90d638e577368a18edbc8c0ece98ecadf3ddad5e0e35a9837606e2b29",
+    ),
+    "grid(30x30)": (
+        "5764f0d9bb7d98295a5090854ccb65776a3d820becb76d004e26db8525166f81",
+        "fa1f49eb4df709053c34763b39c22f03d7dd361c2d8f2ef1cd8fd098487731f8",
+        "777cae671d49c97702b030c03eac201a349a3e5256359f52b6786254f7c701f8",
+    ),
+    "theorem4(1)": (
+        "c2ded2141ea45504e8b525bee83adc47f6852525af8e98ce24f8ace28dea9ea6",
+        "20efb773e4cafd62eb48c5b61b0805f5646c0bf81a2553023e561eb12616c5c9",
+        "8055523bc7b093914525c97f79cb8821f3826dcb8b514499d4a18e1e8485c011",
+    ),
+}
+PROPER3_PDW300_SHA256 = "4c1d201cfc5f1c3618c484661f1e4b72ef5a79b64612791364efa5b413aa42b3"
+
+
+@pytest.mark.parametrize("name", K_ORIENTATION_SHA256)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_k_orientation_is_pinned(name, k):
+    result = k_orientation(_engine_instance(name), k)
+    assert _sha256(result) == K_ORIENTATION_SHA256[name][k - 1]
+
+
+def test_proper_three_orientation_is_pinned():
+    sigma = proper_three_orientation(_engine_instance("pdw(300)"))
+    assert _sha256(sigma) == PROPER3_PDW300_SHA256
 
 
 def test_verify_directed_c4():
