@@ -14,15 +14,18 @@ hubs absorb at most ``cap`` arcs.  It is read two ways:
 Checked at K_{7,2} and K_{8,2}, both with cap 3, and chained with
 properness transfer between adjacent tiers, it rules out any proper
 3-orientation of the 182-vertex instance.  Every gadget claim is
-established by enumerating all 2^(2L) orientations, never by trusting the
-prose; the glue logic is cross-checked against the exact solver on the
-same layout at reduced scale.
+established by classifying all 2^(2L) orientations, never by trusting the
+prose; each orientation is the pair of its arcs into hub 0 and its arcs
+into hub 1, and the cap test is decided once per half, not once per
+orientation.  The glue logic is cross-checked against the exact solver on
+the same layout at reduced scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import BadParamsError
 from .generators import _t4_layout
 from .orientation import Orientation
 
@@ -48,23 +51,33 @@ class CertificateReport:
 
 
 def check_left_pigeonhole(left_size, right_cap):
-    """Enumerate the 4^L orientations of K_{L,2}; the counterexamples are,
+    """Classify the 4^L orientations of K_{L,2}; the counterexamples are,
     in mask order, those in which every left vertex sends an arc into a hub
     and both hubs absorb at most ``right_cap`` arcs.  None reads two ways:
     with each hub capped at ``right_cap`` some left vertex has indegree 2
     (left pigeonhole), and with each left vertex absorbing at most one arc
     some hub absorbs at least ``right_cap + 1`` (right overflow at threshold
-    ``right_cap + 1``)."""
-    total = 1 << (2 * left_size)
-    hub0 = (total - 1) // 3  # bit 2i: arc from left i into hub 0; bit 2i+1: into hub 1
-    counterexamples = tuple(
-        mask
-        for mask in range(total)
-        if (mask | mask >> 1) & hub0 == hub0  # no left vertex takes both arcs
-        and (mask & hub0).bit_count() <= right_cap
-        and (mask >> 1 & hub0).bit_count() <= right_cap
-    )
-    return GadgetResult(enumerated_count=total, counterexamples=counterexamples)
+    ``right_cap + 1``).
+
+    Mask bit 2i is the arc from left i into hub 0 and bit 2i+1 the arc into
+    hub 1, so a mask is a pair of L-bit halves ``a`` (into hub 0) and ``b``
+    (into hub 1).  Each half's cap test is decided once per half rather than
+    once per mask; a pair of halves within the cap is a counterexample when
+    ``a | b`` covers every left vertex.  A negative ``left_size`` is a
+    BadParamsError; a negative ``right_cap`` is vacuously ok.
+    """
+    if left_size < 0:
+        raise BadParamsError(f"left_size must be >= 0, got {left_size}")
+    half = 1 << left_size
+    full = half - 1
+    spread = [0] * half  # spread[x] moves bit i of x to bit 2i
+    for x in range(1, half):
+        spread[x] = spread[x >> 1] << 2 | x & 1
+    capped = [x for x in range(half) if x.bit_count() <= right_cap]
+    counterexamples = tuple(sorted(
+        spread[a] | spread[b] << 1 for a in capped for b in capped if a | b == full
+    ))
+    return GadgetResult(enumerated_count=half * half, counterexamples=counterexamples)
 
 
 def verify_lower_bound_certificate():

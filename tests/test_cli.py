@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import random
@@ -244,6 +245,24 @@ def test_check_t4_emit_witness(tmp_path, capsys):
     target = tmp_path / "witness.txt"
     assert run(["check-t4", "--extra", "1", "--emit-witness", str(target)]) == 0
     assert len(target.read_text().splitlines()) == 362
+
+
+@pytest.mark.parametrize("extra, report_digest, witness_digest", [
+    (0, "b16ee16d367769267d330a364038bcc4d5a1a1f374c0c78180dc21c78599f584",
+     "5e35de69e6911e85827ec496b979b443fe8c2c17fec279373dd28628344e805a"),
+    (1, "280fb69f680bdb39d4b64691fc0fbc8bf26e7943a90bab8f37642ceac109fe63",
+     "9f2e617dc6addd6d6648804d45e5ed468114608129654a43ff66d9a8c400dd11"),
+    (5, "bb720910bc546c964f8b33d8350a37d7b95acb4dd8fc844266bce2ec9b095d8b",
+     "36733d6ed31d0f67a63de36cf38aa86e685f05e137b731b75371c5ca2802c7df"),
+])
+def test_check_t4_bytes_are_pinned(extra, report_digest, witness_digest, tmp_path, capsys):
+    # the report and the witness file, byte for byte: a changed count, a
+    # reordered line or a changed arc fails here
+    target = tmp_path / "witness.txt"
+    assert run(["check-t4", "--extra", str(extra), "--emit-witness", str(target)]) == 0
+    report = capsys.readouterr().out.encode()
+    assert hashlib.sha256(report).hexdigest() == report_digest
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == witness_digest
 
 
 def test_check_t4_error_leaves_stdout_empty(tmp_path, capsys):

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from orientkit.errors import BadParamsError
 from orientkit.exact import exists_proper_k
 from orientkit.generators import theorem4
 from orientkit.orientation import verify_orientation
@@ -51,21 +54,66 @@ def test_pigeonhole_counterexample_is_real():
     assert all(mask >> (2 * i) & 3 for i in range(7))  # no left vertex takes both
 
 
-def test_pigeonhole_matches_a_recount_of_every_mask():
+def _recount(left, cap):
     # recount every mask of K_{L,2}: a counterexample sends an arc from each
     # left vertex into a hub and leaves both hubs at <= cap arcs
-    for left in range(7):
-        masks = range(1 << (2 * left))
-        for cap in range(2 * left + 1):
-            expected = tuple(
-                mask for mask in masks
-                if all(mask >> (2 * i) & 3 for i in range(left))
-                and sum(mask >> (2 * i) & 1 for i in range(left)) <= cap
-                and sum(mask >> (2 * i + 1) & 1 for i in range(left)) <= cap
-            )
+    return tuple(
+        mask for mask in range(1 << (2 * left))
+        if all(mask >> (2 * i) & 3 for i in range(left))
+        and sum(mask >> (2 * i) & 1 for i in range(left)) <= cap
+        and sum(mask >> (2 * i + 1) & 1 for i in range(left)) <= cap
+    )
+
+
+def test_pigeonhole_matches_a_recount_of_every_mask():
+    sizes = [(left, range(2 * left + 1)) for left in range(7)]
+    # the certificate's (7, 3) and (8, 3) and their negative controls
+    sizes += [(7, (2, 3, 4)), (8, (2, 3, 4))]
+    for left, caps in sizes:
+        for cap in caps:
             result = check_left_pigeonhole(left, cap)
-            assert result.counterexamples == expected
-            assert result.enumerated_count == len(masks)
+            assert result.counterexamples == _recount(left, cap)
+            assert result.enumerated_count == 4**left
+
+
+def _mask_by_mask(left, cap):
+    # reference: the same predicate tested on each whole mask at once
+    total = 1 << (2 * left)
+    hub0 = (total - 1) // 3
+    return tuple(
+        mask
+        for mask in range(total)
+        if (mask | mask >> 1) & hub0 == hub0
+        and (mask & hub0).bit_count() <= cap
+        and (mask >> 1 & hub0).bit_count() <= cap
+    )
+
+
+@pytest.mark.parametrize("left", range(9))
+def test_pigeonhole_matches_the_mask_by_mask_test(left):
+    for cap in range(-1, 2 * left + 2):
+        result = check_left_pigeonhole(left, cap)
+        assert result.counterexamples == _mask_by_mask(left, cap)
+        assert result.enumerated_count == 4**left
+
+
+@pytest.mark.parametrize("left, count, digest", [
+    (7, 210, "ddf25aa499324f2fec0164b2738be8efce9367af28c9a0600789b3c01c604464"),
+    (8, 70, "8a4bb1c99c00d06c4227602e45b89bce73212ed05bf688544b0d37b963a3a978"),
+])
+def test_pigeonhole_counterexamples_are_pinned(left, count, digest):
+    # the negative controls at cap 4, mask for mask and in mask order
+    masks = check_left_pigeonhole(left, 4).counterexamples
+    assert len(masks) == count
+    assert hashlib.sha256(repr(masks).encode()).hexdigest() == digest
+
+
+def test_pigeonhole_refuses_a_negative_left_size():
+    with pytest.raises(BadParamsError, match="-1"):
+        check_left_pigeonhole(-1, 3)
+    # a negative cap stays valid: no hub absorbs fewer than zero arcs
+    assert check_left_pigeonhole(3, -1) == check_left_pigeonhole(3, -5)
+    assert check_left_pigeonhole(3, -1).ok
 
 
 def test_certificate_default_run():
