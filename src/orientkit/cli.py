@@ -5,11 +5,12 @@ header, then "u v" lines) so subcommands compose with shell pipes.
 Orientations are m lines "u v" meaning arc u -> v, in edge-index order.
 
 Every text input (graph, arc list, orientation file, model file) is read
-whole by ``_read_text`` and split by ``str.splitlines()``.  Every command
-returns its stdout text (``check-t4`` also its exit code, ``gen --id-table``
-also its stderr text), and only ``run()`` writes them, to stdout or to
-``-o FILE`` and then to stderr, once the command has succeeded; so an error
-leaves stdout empty and prints one ``error:`` line.
+whole by ``_read_text`` and cut into lines as ``str.splitlines()`` cuts them
+(``graphs.read_pairs`` reads a canonical arc list in one pass, with the same
+result).  Every command returns its stdout text (``check-t4`` also its exit
+code, ``gen --id-table`` also its stderr text), and only ``run()`` writes
+them, to stdout or to ``-o FILE`` and then to stderr, once the command has
+succeeded; so an error leaves stdout empty and prints one ``error:`` line.
 Exit codes: 0 success, 1 domain error, 2 usage, parse or I/O error (closed
 stdin or stdout included).
 """
@@ -89,7 +90,7 @@ def _read_graph(args):
 
 
 def _read_orientation(g, path):
-    arcs, line_numbers = read_pairs(_read_text(path).splitlines())
+    arcs, line_numbers = read_pairs(_read_text(path))
     if len(arcs) != g.m:
         raise ParseError(f"orientation file has {len(arcs)} arcs, graph has {g.m} edges")
     direction = []
@@ -179,7 +180,7 @@ def _cmd_verify(args):
         # bare arc list: the arcs carry both the graph and sigma.  Properness
         # and indegrees ignore isolated vertices, so only the ids that occur
         # are numbered, in order of first appearance: a huge id allocates nothing.
-        arcs, line_numbers = read_pairs(_read_text(args.input).splitlines())
+        arcs, line_numbers = read_pairs(_read_text(args.input))
         dense = {}
         for i, ((u, v), line) in enumerate(zip(arcs, line_numbers)):
             if u < 0 or v < 0:

@@ -4,10 +4,21 @@ Vertices are dense integers 0..n-1.  Edge indices are stable: edge i is
 ``edges[i]`` for the lifetime of the graph.  Planarity is never computed:
 the header's ``planar`` token sets ``planar_asserted``, an annotation that
 parsing and serialization carry through and nothing reads.
+
+An edge-list body has two readers, chosen by its shape (``read_pairs``).  The
+canonical body, "u v\n" lines of ASCII digits as ``serialize_graph`` writes
+them, is read in one pass; any other layout is read line by line, with the
+lines cut as ``str.splitlines()`` cuts them.  Both give the same pairs and the
+same line numbers, and only the line reader can meet a bad token.
+``Graph`` checks the edge list in the one pass that fills the adjacency lists
+and stops at the first bad edge; a repeat is found by an int key per
+unordered pair.  (A bulk check, with ids by min and max and loops and repeats
+by one set of directed arcs, ran no faster and held more memory.)
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -46,14 +57,17 @@ class Graph:
                 )
             if u == v:
                 raise SelfLoopError(f"edge {i} is a self-loop at vertex {u}", edge=i)
-            key = (u, v) if u < v else (v, u)
+            # ids are in range here, so the key names the unordered pair; an
+            # int, unlike a tuple, adds nothing for the cyclic GC to track
+            key = u * n + v if u < v else v * n + u
             if key in first:
                 raise DuplicateEdgeError(f"edge {i} duplicates edge {first[key]}", edge=i)
             first[key] = i
             adj[u].append((v, i))
             adj[v].append((u, i))
-        object.__setattr__(self, "edges", tuple((u, v) for u, v in self.edges))
-        object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
+        # every edge unpacked as a pair above; tuple() passes a tuple through
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
+        object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
 
     @property
     def m(self):
@@ -95,10 +109,25 @@ def read_ints(tokens, line=None):
     return values
 
 
-def read_pairs(lines, first_line=1):
-    """The nonblank "u v" lines as int pairs, with their 1-based line numbers."""
+# the canonical body: what serialize_graph writes, and no token read_ints refuses
+_CANONICAL_PAIRS = re.compile(f"(?:[0-9]{{1,{MAX_DIGITS}}} [0-9]{{1,{MAX_DIGITS}}}\n)*")
+# every line end of str.splitlines()
+_LINE_END = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def read_pairs(text, first_line=1):
+    """The nonblank "u v" lines of text as int pairs, with their 1-based line
+    numbers (the first line of text is first_line).
+
+    A canonical body is read in one pass; any other is read line by line,
+    with the same result, and a bad line is named by its number.
+    """
+    if _CANONICAL_PAIRS.fullmatch(text):
+        ids = map(int, text.split())
+        pairs = list(zip(ids, ids))
+        return pairs, range(first_line, first_line + len(pairs))
     pairs, line_numbers = [], []
-    for lineno, raw in enumerate(lines, first_line):
+    for lineno, raw in enumerate(text.splitlines(), first_line):
         tokens = raw.split()
         if not tokens:
             continue
@@ -124,10 +153,11 @@ def parse_graph(text):
     Format: first line "n m [planar]", then m lines "u v".  Graph rejects
     bad edges; the error names the offending line.
     """
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise HeaderFormatError("empty document", 1)
-    header = lines[0].split()
+    end = _LINE_END.search(text)
+    header, body = (text, "") if end is None else (text[: end.start()], text[end.end():])
+    header = header.split()
     planar = False
     if len(header) == 3 and header[2] == "planar":
         planar = True
@@ -141,10 +171,11 @@ def parse_graph(text):
     if n < 0 or m < 0:
         raise HeaderFormatError("n and m must be nonnegative", 1)
 
-    pairs, line_numbers = read_pairs(lines[1:], 2)
+    pairs, line_numbers = read_pairs(body, 2)
     g = graph_from_pairs(n, pairs, line_numbers, planar)
-    if g.m != m:
-        raise HeaderFormatError(f"header promises {m} edges, found {g.m}", len(lines) + 1)
+    if g.m != m:  # named at the line after the last one
+        end_line = len(body.splitlines()) + 2
+        raise HeaderFormatError(f"header promises {m} edges, found {g.m}", end_line)
     return g
 
 

@@ -221,6 +221,43 @@ def test_orientation_file_and_stdin_follow_one_line_rule(tmp_path, capsys, monke
     assert bare.out == "proper=true max_indegree=2\n"
 
 
+def _verify_outputs(arcs, graph_text, tmp_path, capsys, monkeypatch):
+    """verify's captured output on the arc list as an --orientation file and
+    as a bare arc list."""
+    sigma = tmp_path / "sigma.txt"
+    sigma.write_bytes(arcs.encode())
+    feed(monkeypatch, graph_text)
+    run(["verify", "--orientation", str(sigma)])
+    with_graph = capsys.readouterr()
+    feed(monkeypatch, arcs)
+    run(["verify"])
+    return with_graph, capsys.readouterr()
+
+
+def test_verify_prints_the_same_bytes_for_a_relaid_arc_list(tmp_path, capsys, monkeypatch):
+    g = pdw(30)
+    graph_text = serialize_graph(g)
+    feed(monkeypatch, graph_text)
+    assert run(["proper3"]) == 0
+    proper = capsys.readouterr().out
+    as_listed = graph_text.split("\n", 1)[1]  # every edge u -> v: not proper
+    for arcs, answer in ((proper, "proper=true max_indegree=3\n"),
+                         (as_listed, "proper=false max_indegree=2\n")):
+        canonical = _verify_outputs(arcs, graph_text, tmp_path, capsys, monkeypatch)
+        assert [c.out for c in canonical] == [answer, answer]
+        for layout in (arcs.replace("\n", "\r\n"), arcs.replace(" ", "\t")):
+            assert _verify_outputs(layout, graph_text, tmp_path, capsys, monkeypatch) == canonical
+
+
+def test_verify_digit_limit_on_a_canonical_arc_list(tmp_path, capsys, monkeypatch):
+    # every other line is canonical; the long id is refused at its line
+    arcs = "1 0\n" + "1" * 4301 + " 2\n3 2\n3 0\n"
+    err = "error: line 2: integer of 4301 digits, more than 4300\n"
+    c4 = serialize_graph(cycle(4))
+    for captured in _verify_outputs(arcs, c4, tmp_path, capsys, monkeypatch):
+        assert (captured.out, captured.err) == ("", err)
+
+
 def test_check_t4(capsys):
     assert run(["check-t4"]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -100,12 +101,57 @@ def test_serialize_round_trip_property():
     @hypothesis.settings(max_examples=200, deadline=None, database=None)
     @hypothesis.given(g=graphs())
     def check(g):
-        back = parse_graph(serialize_graph(g))
-        assert back.n == g.n
-        assert back.edges == g.edges
-        assert back.planar_asserted == g.planar_asserted
+        text = serialize_graph(g)
+        # the canonical text takes the one-pass reader; the other layouts
+        # but leading zeros take the line reader
+        for layout in (text, *_relayouts(text)):
+            back = parse_graph(layout)
+            assert back.n == g.n
+            assert back.edges == g.edges
+            assert back.planar_asserted == g.planar_asserted
 
     check()
+
+
+def _relayouts(text):
+    """text laid out again: CRLF ends, tabs between ids, blank lines, leading
+    zeros, no final newline, and a header ended by a lone carriage return."""
+    return (
+        text.replace("\n", "\r\n"),
+        text.replace(" ", "\t"),
+        text.replace("\n", "\n\n"),
+        re.sub("[0-9]+", lambda digits: "00" + digits[0], text),
+        text[:-1],
+        text.replace("\n", "\r", 1),
+    )
+
+
+def test_a_lone_carriage_return_ends_the_header():
+    # splitting the header off at the first "\n" would read this as no edges
+    assert parse_graph("4 1\r0 1\n").edges == ((0, 1),)
+
+
+def test_parse_reads_every_token_before_checking_edges():
+    # line 2 is a self-loop, but the bad token on line 3 is read first
+    with pytest.raises(ParseError) as exc:
+        parse_graph("4 2\n0 0\n1 x\n")
+    assert type(exc.value) is ParseError
+    assert str(exc.value) == "line 3: expected an integer, got 'x'"
+
+
+@pytest.mark.parametrize("text", ["2 2\n0 1\n", "2 2\r\n0 1\r\n", "2 2\r0 1\r"])
+def test_a_short_body_is_named_at_the_line_after_it(text):
+    with pytest.raises(HeaderFormatError) as exc:
+        parse_graph(text)
+    assert str(exc.value) == "line 3: header promises 2 edges, found 1"
+
+
+def test_canonical_body_digit_limit():
+    # every other line is canonical; the long id takes the line reader
+    with pytest.raises(ParseError) as exc:
+        parse_graph("3 2\n0 1\n" + "1" * 4301 + " 2\n")
+    assert str(exc.value) == "line 3: integer of 4301 digits, more than 4300"
+    assert parse_graph("3 1\n" + "0" * 4299 + "2 1\n").edges == ((2, 1),)
 
 
 def test_read_ints_digit_limit():
@@ -234,14 +280,60 @@ def test_connected_components():
         (((5, 5),), VertexRangeError, 0),  # range is checked before loops
         (((0, 1), (1, 1)), SelfLoopError, 1),
         (((0, 1), (1, 0)), DuplicateEdgeError, 1),
+        # edges are checked in order: an earlier repeat before a later range error
+        (((0, 1), (1, 0), (0, 7)), DuplicateEdgeError, 1),
+        (((0, 2), (1, 2), (2, 0)), DuplicateEdgeError, 2),
     ],
 )
 def test_graph_names_the_rejected_edge(edges, error, edge):
     with pytest.raises(error) as exc:
-        Graph(n=2, edges=edges)
+        Graph(n=3, edges=edges)
     assert exc.value.edge == edge
     assert exc.value.line is None
     assert str(exc.value).startswith(f"edge {edge}")
+
+
+def test_a_repeated_edge_names_the_edge_it_repeats():
+    with pytest.raises(DuplicateEdgeError) as exc:
+        Graph(n=3, edges=((0, 2), (1, 2), (2, 0)))
+    assert str(exc.value) == "edge 2 duplicates edge 0"
+
+
+def _first_bad_edge(n, edges):
+    """The edge rule one edge at a time: (error type, edge index) or None."""
+    seen = set()
+    for i, (u, v) in enumerate(edges):
+        if not (0 <= u < n and 0 <= v < n):
+            return VertexRangeError, i
+        if u == v:
+            return SelfLoopError, i
+        if frozenset((u, v)) in seen:
+            return DuplicateEdgeError, i
+        seen.add(frozenset((u, v)))
+    return None
+
+
+def test_graph_matches_a_reference_edge_scan():
+    # ids in -1..n, so range errors, loops and repeats in either order all occur
+    rng = random.Random(2121)
+    outcomes = set()
+    for _ in range(3000):
+        n = rng.randint(0, 6)
+        edges = tuple((rng.randint(-1, n), rng.randint(-1, n)) for _ in range(rng.randint(0, 7)))
+        expected = _first_bad_edge(n, edges)
+        outcomes.add(expected and expected[0])
+        if expected is None:
+            g = Graph(n=n, edges=edges)
+            # each vertex lists its edges in index order
+            assert g.adjacency == tuple(
+                tuple((u + v - w, i) for i, (u, v) in enumerate(edges) if w in (u, v))
+                for w in range(n)
+            )
+            continue
+        with pytest.raises(expected[0]) as exc:
+            Graph(n=n, edges=edges)
+        assert exc.value.edge == expected[1]
+    assert outcomes == {None, VertexRangeError, SelfLoopError, DuplicateEdgeError}
 
 
 def test_parse_error_line_skips_blank_lines():
