@@ -5,18 +5,33 @@ Mad(G) = max over subgraphs H of 2|E(H)|/|V(H)|.  At a density lam = p/q,
 with at most p on a vertex.  It places every unit iff no subgraph is denser
 than lam (Hakimi); otherwise its BFS-reached set H is the smallest
 maximiser of 2q|E(H)| - p|H|, and so denser than lam.  This is Goldberg's
-test, run on G itself.
+test.
 
-Dinkelbach's iteration starts at the whole graph's density and moves lam
-to the density of each H found, until nothing is denser: lam is then Mad.
-Every step strictly raises lam, and lam only takes the finitely many
-subgraph densities, so the loop ends, in practice after one or two tests.
+``mad_exact`` keeps a vertex set S, at first all of G, that contains U, the
+union of all densest subgraphs, with lam = 2|E(S)|/|S|.  Each round peels S
+to its ceil(lam/2)-core, which raises lam whenever it removes a vertex
+(one of degree d < lam/2 leaves 2(|E| - d)/(|S| - 1) > lam), then runs
+the test once on G[S] at lam.  If nothing is denser it returns (lam, S);
+otherwise S becomes the denser H found.  Every round strictly raises lam,
+which takes only the finitely many subgraph densities, so the loop ends.
+This is the core pruning of CoreExact (Fang et al., PVLDB 12(11), 2019).
 
-The witness is the last H, found at some lam < Mad with density Mad.
-Among the densest subgraphs, the one with the most vertices maximizes
-|H|(Mad - lam), so H is the union of all densest subgraphs: the unique
-maximal densest subgraph.  When the first test finds nothing, the whole
-vertex set is that union.
+1. No peel removes a vertex of U.  Every vertex v of a densest subgraph D
+   has deg_D(v) >= Mad/2, or D - v would be denser; so deg_U(v) >=
+   ceil(Mad/2) >= ceil(lam/2) for v in U, and U stays in each core.
+2. H contains U.  For X inside S let f(X) = 2q|E(X)| - p|X|; f is
+   supermodular because |E| is, f(U) = |U|(q Mad - p) > 0 as lam < Mad,
+   and f(X) <= |X|(q Mad - p) < f(U) for X a proper subset of U.  With H
+   the smallest maximiser, f(H | U) + f(H & U) >= f(H) + f(U) and
+   f(H | U) <= f(H) give f(H & U) >= f(U), so H & U = U.
+3. The final S is U.  The test finds nothing denser than lam in G[S], and
+   U lies in S, so Mad = Mad(G[S]) = lam = 2|E(S)|/|S|: S is densest and
+   so inside U, the union of all densest subgraphs.
+
+A certificate that Mad <= lam for all of G (not produced yet) has three
+parts: the peel order, in which each peeled vertex has fewer than lam/2
+later neighbours; the outside part of each nested test's load; and the
+final load on G[U].
 
 Pseudoarboricity runs the same loop over the integers.  A k-orientation
 exists iff no subgraph has |E(H)| > k|H| (Hakimi), so the least such k is
@@ -33,6 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyEdgeSetError
+from .graphs import Graph
 from .orientation import Infeasible, _spread, k_orientation
 
 
@@ -53,14 +69,49 @@ def mad_exact(g):
     """Exact Mad with the maximal densest induced-subgraph witness."""
     if g.m == 0:
         raise EmptyEdgeSetError("Mad needs at least one edge")
-    lam, witness = Fraction(2 * g.m, g.n), tuple(range(g.n))
+    sub, ids = g, range(g.n)  # sub = G[S], vertex i of sub is ids[i] in g
     while True:
-        _, denser = _spread(g, 2 * lam.denominator, lam.numerator)
+        # ceil(lam/2) = ceil(m/n) for lam = 2m/n, the density of sub
+        core = _core(sub, -(-sub.m // sub.n))
+        if core is not None:
+            sub, ids = _induced(sub, ids, core)
+        lam = Fraction(2 * sub.m, sub.n)
+        _, denser = _spread(sub, 2 * lam.denominator, lam.numerator)
         if denser is None:
-            return DensityReport(mad=lam, witness=witness)
-        density = subgraph_density(g, denser)
-        assert density > lam, "each step finds a strictly denser subgraph"
-        lam, witness = density, denser
+            return DensityReport(mad=lam, witness=tuple(ids))
+        sub, ids = _induced(sub, ids, denser)
+
+
+def _core(g, c):
+    """The sorted vertices of g's c-core, its largest induced subgraph of
+    minimum degree >= c; None when that is g itself."""
+    adjacency = g.adjacency
+    # the 1-core drops only isolated vertices, which hold no units and which
+    # no engine search reaches, so it is not worth a subgraph
+    if c < 2 or min(map(len, adjacency)) >= c:
+        return None
+    degree = list(map(len, adjacency))
+    gone = [d < c for d in degree]
+    stack = [v for v, out in enumerate(gone) if out]
+    while stack:
+        for w, _ in adjacency[stack.pop()]:
+            if not gone[w]:
+                degree[w] -= 1
+                if degree[w] < c:
+                    gone[w] = True
+                    stack.append(w)
+    return [v for v, out in enumerate(gone) if not out]
+
+
+def _induced(g, ids, vertices):
+    """G[vertices], for sorted vertices of g, relabelled to 0..len-1 in that
+    order with its edges in g's order; and the ids its vertices stand for,
+    where vertex v of g stands for ids[v]."""
+    new = [-1] * g.n
+    for i, v in enumerate(vertices):
+        new[v] = i
+    edges = [(new[u], new[v]) for u, v in g.edges if new[u] >= 0 and new[v] >= 0]
+    return Graph(n=len(vertices), edges=tuple(edges)), [ids[v] for v in vertices]
 
 
 def pseudoarboricity(g):

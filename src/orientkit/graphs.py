@@ -7,9 +7,10 @@ parsing and serialization carry through and nothing reads.
 
 An edge-list body has two readers, chosen by its shape (``read_pairs``).  The
 canonical body, "u v\n" lines of ASCII digits as ``serialize_graph`` writes
-them, is read in one pass; any other layout is read line by line, with the
-lines cut as ``str.splitlines()`` cuts them.  Both give the same pairs and the
-same line numbers, and only the line reader can meet a bad token.
+them (the last "\n" may be missing), is read in one pass; any other layout
+is read line by line, with the lines cut as ``str.splitlines()`` cuts them.
+Both give the same pairs and the same line numbers, and only the line reader
+can meet a bad token.
 ``Graph`` checks the edge list in the one pass that fills the adjacency lists
 and stops at the first bad edge; a repeat is found by an int key per
 unordered pair.  (A bulk check, with ids by min and max and loops and repeats
@@ -109,8 +110,12 @@ def read_ints(tokens, line=None):
     return values
 
 
-# the canonical body: what serialize_graph writes, and no token read_ints refuses
-_CANONICAL_PAIRS = re.compile(f"(?:[0-9]{{1,{MAX_DIGITS}}} [0-9]{{1,{MAX_DIGITS}}}\n)*")
+# the canonical body: what serialize_graph writes, and no token read_ints
+# refuses; the last line may lack its "\n", as hand-edited files often do.
+# (?=(X))\1 matches X once, as an atomic group would (Python 3.10 has none),
+# so a body that fails near its end is not backtracked through line by line.
+_PAIR = f"[0-9]{{1,{MAX_DIGITS}}} [0-9]{{1,{MAX_DIGITS}}}"
+_CANONICAL_PAIRS = re.compile(f"(?=((?:{_PAIR}\n)*))\\1(?:{_PAIR})?")
 # every line end of str.splitlines()
 _LINE_END = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 

@@ -46,6 +46,33 @@ def test_mad(capsys, monkeypatch):
     assert out[1] == "witness: 0 1 2 3 4 5 6 7"
 
 
+# K(4,5) on {2, 5, 9, 11} x {0, 3, 6, 8, 10} and the pendant path 10-1-7-4
+K45_WITH_A_PATH = (
+    "12 23\n5 3\n0 5\n8 2\n11 8\n11 6\n7 1\n10 11\n9 6\n11 3\n3 9\n10 2\n"
+    "9 10\n10 1\n6 5\n2 3\n2 0\n0 9\n10 5\n6 2\n4 7\n0 11\n8 9\n8 5\n"
+)
+
+
+@pytest.mark.parametrize("family, digest", [
+    ("pdw:50", "0bf09b6acbf6d005d47a8373a7652bea106332bf5a27b074d2bc7ca7464ff014"),
+    ("t4:1", "3d8c8fdddfe372a1673c1c0819c676665a33e6315167ae9529f0de4d2d23bfd2"),
+    ("cycle:8", "9c4590134d727822e0758998dc00629e27b25fb3302f4d506d6c1ecd05394047"),
+    (None, "07b6d26f7a23f6d5374a3c27c300270d4aebc6026fabde3643ae92a05e0b1807"),
+], ids=["pdw:50", "t4:1", "cycle:8", "k45-with-a-path"])
+def test_mad_bytes_are_pinned(family, digest, capsys, monkeypatch):
+    if family is None:
+        text = K45_WITH_A_PATH
+    else:
+        assert run(["gen", family]) == 0
+        text = capsys.readouterr().out
+    feed(monkeypatch, text)
+    assert run(["mad"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if family is None:
+        assert out == "mad = 40/9\nwitness: 0 2 3 5 6 8 9 10 11\n"
+
+
 def test_orient_feasible(capsys, monkeypatch):
     feed(monkeypatch, serialize_graph(cycle(4)))
     assert run(["orient", "-k", "1"]) == 0

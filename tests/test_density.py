@@ -168,6 +168,85 @@ def test_mad_exact_is_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == MAD_SHA256[name]
 
 
+def engine_sizes(monkeypatch):
+    """The vertex count of every graph that mad_exact hands the engine."""
+    sizes = []
+    spread = density._spread
+
+    def counted(g, units, cap):
+        sizes.append(g.n)
+        return spread(g, units, cap)
+
+    monkeypatch.setattr(density, "_spread", counted)
+    return sizes
+
+
+def test_engine_sees_only_the_core(monkeypatch):
+    sizes = engine_sizes(monkeypatch)
+    g, block = block_with_tail()
+    assert mad_exact(g).witness == tuple(sorted(block))
+    # the 2-core drops the 60-vertex tail: the engine sees K(5,6) alone
+    assert sizes and max(sizes) <= 11
+    sizes.clear()
+    # pdw(100) has minimum degree 3 >= ceil(400/202): nothing is peeled
+    assert mad_exact(pdw(100)).mad == Fraction(2 * 400, 202)
+    assert sizes == [202]
+
+
+def test_peeled_graphs_match_brute_force(monkeypatch):
+    # a dense core with pendant trees and tails, relabelled: the
+    # ceil(m/n)-core drops every tree, so the engine sees fewer vertices
+    sizes = engine_sizes(monkeypatch)
+    rng = random.Random(2201)
+    checked = 0
+    while checked < 40:
+        core = rng.randint(4, 6)
+        edges = [e for e in combinations(range(core), 2) if rng.random() < 0.85]
+        if len(edges) <= core:
+            continue
+        n = rng.randint(core + 1, 10)
+        edges += [(rng.randrange(v), v) for v in range(core, n)]
+        g = relabel(rng, Graph(n=n, edges=tuple(edges)))
+        sizes.clear()
+        report = mad_exact(g)
+        assert sizes[0] < g.n
+        assert report.mad == brute_force_mad(g)
+        assert report.witness == brute_force_densest(g)
+        checked += 1
+
+
+def test_equal_density_blocks_give_their_union():
+    # K(3,6) and K(4,4) both have density 4; a tail hangs off each and a
+    # pendant path off the first: the witness is the two blocks together
+    k36 = [(a, b) for a in range(3) for b in range(3, 9)]
+    k44 = [(a, b) for a in range(9, 13) for b in range(13, 17)]
+    tails = [(8, 17), (17, 18), (18, 19), (16, 20), (20, 21), (0, 22)]
+    g = relabel(random.Random(36), Graph(n=23, edges=tuple(k36 + k44 + tails)))
+    report = mad_exact(g)
+    assert report.mad == Fraction(4)
+    assert len(report.witness) == 17
+    assert subgraph_density(g, report.witness) == 4
+    assert sum(1 for u, v in g.edges if {u, v} <= set(report.witness)) == 34
+
+
+def test_a_nested_test_follows_a_peel(monkeypatch):
+    # K5 (density 4) joined by an edge to K(3,3), with a 10-vertex tail off
+    # K(3,3): the peel drops the tail, the test on the 11 core vertices finds
+    # K5, and the nested test on K5 finds nothing denser
+    k5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    k33 = [(a, b) for a in range(5, 8) for b in range(8, 11)]
+    tail = [(10 + i, 11 + i) for i in range(10)]
+    rng = random.Random(5)
+    perm = list(range(21))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in k5 + [(4, 5)] + k33 + tail]
+    sizes = engine_sizes(monkeypatch)
+    report = mad_exact(Graph(n=21, edges=tuple(edges)))
+    assert report.mad == Fraction(4)
+    assert report.witness == tuple(sorted(perm[:5]))
+    assert sizes == [11, 5]
+
+
 def test_relabelled_pdw_is_densest_as_a_whole():
     # pdw(2000): 8000 edges on 4002 vertices, densest as a whole
     g = relabel(random.Random(2000), pdw(2000))

@@ -21,6 +21,7 @@ from orientkit.graphs import (
     min_degree,
     parse_graph,
     read_ints,
+    read_pairs,
     serialize_graph,
 )
 
@@ -102,8 +103,9 @@ def test_serialize_round_trip_property():
     @hypothesis.given(g=graphs())
     def check(g):
         text = serialize_graph(g)
-        # the canonical text takes the one-pass reader; the other layouts
-        # but leading zeros take the line reader
+        # the canonical text, with or without its final newline, takes the
+        # one-pass reader; the other layouts but leading zeros take the line
+        # reader
         for layout in (text, *_relayouts(text)):
             back = parse_graph(layout)
             assert back.n == g.n
@@ -139,7 +141,7 @@ def test_parse_reads_every_token_before_checking_edges():
     assert str(exc.value) == "line 3: expected an integer, got 'x'"
 
 
-@pytest.mark.parametrize("text", ["2 2\n0 1\n", "2 2\r\n0 1\r\n", "2 2\r0 1\r"])
+@pytest.mark.parametrize("text", ["2 2\n0 1\n", "2 2\n0 1", "2 2\r\n0 1\r\n", "2 2\r0 1\r"])
 def test_a_short_body_is_named_at_the_line_after_it(text):
     with pytest.raises(HeaderFormatError) as exc:
         parse_graph(text)
@@ -147,11 +149,24 @@ def test_a_short_body_is_named_at_the_line_after_it(text):
 
 
 def test_canonical_body_digit_limit():
-    # every other line is canonical; the long id takes the line reader
-    with pytest.raises(ParseError) as exc:
-        parse_graph("3 2\n0 1\n" + "1" * 4301 + " 2\n")
-    assert str(exc.value) == "line 3: integer of 4301 digits, more than 4300"
-    assert parse_graph("3 1\n" + "0" * 4299 + "2 1\n").edges == ((2, 1),)
+    # every other line is canonical; the long id takes the line reader, with
+    # or without the last line's newline
+    for end in ("\n", ""):
+        with pytest.raises(ParseError) as exc:
+            parse_graph("3 2\n0 1\n" + "1" * 4301 + " 2" + end)
+        assert str(exc.value) == "line 3: integer of 4301 digits, more than 4300"
+        assert parse_graph("3 1\n" + "0" * 4299 + "2 1" + end).edges == ((2, 1),)
+
+
+def test_a_last_line_without_its_newline_reads_as_the_line_reader_reads_it():
+    # tabs between the ids send the same lines through the line reader
+    rng = random.Random(21)
+    for m in (1, 2, 7, 300):
+        body = "".join(f"{rng.randrange(10**6)} {rng.randrange(10**6)}\n" for _ in range(m))
+        for text in (body[:-1], body[:-1] + "\n\n", "\n" + body[:-1]):
+            pairs, lines = read_pairs(text, 2)
+            assert (pairs, list(lines)) == read_pairs(text.replace(" ", "\t"), 2)
+        assert isinstance(read_pairs(body[:-1])[1], range)  # read in one pass
 
 
 def test_read_ints_digit_limit():
