@@ -7,11 +7,15 @@ stack; it learns no clauses.
 One boolean per edge gives the direction (true = arc from the first listed
 endpoint into the second).  Each vertex v gets a two-sided sequential
 counter over its incoming literals; register bit r(v,j) holds iff
-indegree(v) >= j, for j up to min(deg v, k).  Indegrees above k are
-forbidden, and for every edge uv and every t up to the shorter of the two
-registers a clause rules out indegree(u) = indegree(v) = t, with the
-constant bits r(.,0) = true and r(.,j) = false past a register folded
-away; a larger t is out of one end's reach and needs no clause.
+indegree(v) >= j, for j up to min(deg v, k).  Each literal read rebuilds
+the register in three cases: the first bit, with only the constant
+r(v,0) = true below it; the middle bits, with a real bit below and beside;
+and, while the register still grows, the new top bit, with the constant
+r(v,j) = false beside it.  Indegrees above k are forbidden, and for every
+edge uv and every t up to the shorter of the two registers a clause rules
+out indegree(u) = indegree(v) = t, with the constant bits r(.,0) = true
+and r(.,j) = false past a register folded away; a larger t is out of one
+end's reach and needs no clause.
 """
 
 from __future__ import annotations
@@ -61,41 +65,31 @@ def export_cnf(g, k):
     registers = []  # registers[v][j-1] = var for "indegree(v) >= j", j <= min(deg, k)
     for v in range(g.n):
         lits = incoming[v]
-        deg = len(lits)
-        width = min(deg, k)
-        # s[i][j] for partial sums over the first i literals, 1 <= j <= min(i, width)
-        prev = range(0)
-        for i, lit in enumerate(lits, start=1):
-            cur = range(next_var, next_var + min(i, width))
-            next_var = cur.stop
-            for j in range(1, len(cur) + 1):
-                s_ij = cur[j - 1]
-                s_prev_j = prev[j - 1] if j <= len(prev) else None  # None = false
-                s_prev_j1 = prev[j - 2] if j >= 2 else True  # True = constant true
-                # s_prev_j -> s_ij
-                if s_prev_j is not None:
-                    clauses.append([-s_prev_j, s_ij])
-                # lit & s_prev_{j-1} -> s_ij
-                if s_prev_j1 is True:
-                    clauses.append([-lit, s_ij])
-                else:
-                    clauses.append([-lit, -s_prev_j1, s_ij])
-                # s_ij -> s_prev_j | lit
-                if s_prev_j is None:
-                    clauses.append([-s_ij, lit])
-                else:
-                    clauses.append([-s_ij, s_prev_j, lit])
-                # s_ij -> s_prev_j | s_prev_{j-1}
-                if s_prev_j1 is not True:
-                    if s_prev_j is None:
-                        clauses.append([-s_ij, s_prev_j1])
-                    else:
-                        clauses.append([-s_ij, s_prev_j, s_prev_j1])
-            # forbid reaching k+1: not(lit & s_prev_k)
-            if len(prev) >= k:
-                clauses.append([-lit, -prev[k - 1]])
-            prev = cur
-        registers.append(prev)
+        width = min(len(lits), k)
+        # reg[j-1] = r(v,j) over the literals read so far; new is reg after lit
+        reg = range(0)
+        for lit in lits:
+            grow = len(reg) < width
+            new = range(next_var, next_var + len(reg) + grow)
+            next_var = new.stop
+            # the first bit: only r(v,0) = true below it
+            if reg:
+                clauses += ([-reg[0], new[0]], [-lit, new[0]], [-new[0], reg[0], lit])
+            else:  # and r(v,1) = false beside it: the bit is lit
+                clauses += ([-lit, new[0]], [-new[0], lit])
+            # the middle bits: a real bit below and beside
+            for j in range(1, len(reg)):
+                below, was, bit = reg[j - 1], reg[j], new[j]
+                clauses += ([-was, bit], [-lit, -below, bit], [-bit, was, lit], [-bit, was, below])
+            # the new top bit: r(v,j) = false beside it
+            if reg and grow:
+                below, bit = reg[-1], new[-1]
+                clauses += ([-lit, -below, bit], [-bit, lit], [-bit, below])
+            # forbid reaching k+1: not(lit & r(v,k))
+            if len(reg) >= k:
+                clauses.append([-lit, -reg[k - 1]])
+            reg = new
+        registers.append(reg)
 
     # properness: for each edge uv and t, not both indegrees equal t; past
     # the shorter register one r(w,t) is constant false, so t stops there

@@ -5,12 +5,13 @@ Vertices are dense integers 0..n-1.  Edge indices are stable: edge i is
 the header's ``planar`` token sets ``planar_asserted``, an annotation that
 parsing and serialization carry through and nothing reads.
 
-An edge-list body has two readers, chosen by its shape (``read_pairs``).  The
+Lines are cut by ``str.splitlines()`` alone, the header's included.  An
+edge-list body has two readers, chosen by its shape (``read_pairs``).  The
 canonical body, "u v\n" lines of ASCII digits as ``serialize_graph`` writes
-them (the last "\n" may be missing), is read in one pass; any other layout
-is read line by line, with the lines cut as ``str.splitlines()`` cuts them.
-Both give the same pairs and the same line numbers, and only the line reader
-can meet a bad token.
+them (the last "\n" may be missing), is read in one pass, after a regex
+search for its first other line that keeps no state per line; any other
+layout is read line by line.  Both give the same pairs and the same line
+numbers, and only the line reader can meet a bad token.
 ``Graph`` checks the edge list in the one pass that fills the adjacency lists
 and stops at the first bad edge; a repeat is found by an int key per
 unordered pair.  (A bulk check, with ids by min and max and loops and repeats
@@ -112,12 +113,10 @@ def read_ints(tokens, line=None):
 
 # the canonical body: what serialize_graph writes, and no token read_ints
 # refuses; the last line may lack its "\n", as hand-edited files often do.
-# (?=(X))\1 matches X once, as an atomic group would (Python 3.10 has none),
-# so a body that fails near its end is not backtracked through line by line.
+# Run on "\n" + body, a match is the start of the first line that is not one
+# pair; the search holds no state from one line to the next.
 _PAIR = f"[0-9]{{1,{MAX_DIGITS}}} [0-9]{{1,{MAX_DIGITS}}}"
-_CANONICAL_PAIRS = re.compile(f"(?=((?:{_PAIR}\n)*))\\1(?:{_PAIR})?")
-# every line end of str.splitlines()
-_LINE_END = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+_NOT_A_PAIR = re.compile(f"\n(?!{_PAIR}(?:\n|\\Z)|\\Z)")
 
 
 def read_pairs(text, first_line=1):
@@ -127,7 +126,7 @@ def read_pairs(text, first_line=1):
     A canonical body is read in one pass; any other is read line by line,
     with the same result, and a bad line is named by its number.
     """
-    if _CANONICAL_PAIRS.fullmatch(text):
+    if not _NOT_A_PAIR.search("\n" + text):
         ids = map(int, text.split())
         pairs = list(zip(ids, ids))
         return pairs, range(first_line, first_line + len(pairs))
@@ -160,9 +159,10 @@ def parse_graph(text):
     """
     if not text:
         raise HeaderFormatError("empty document", 1)
-    end = _LINE_END.search(text)
-    header, body = (text, "") if end is None else (text[: end.start()], text[end.end():])
-    header = header.split()
+    # the first line, with its end, as str.splitlines() cuts it; "\n" ends a
+    # line, so it lies within the text up to the first "\n"
+    first = text[: text.find("\n") + 1 or len(text)].splitlines(keepends=True)[0]
+    header, body = first.split(), text[len(first):]
     planar = False
     if len(header) == 3 and header[2] == "planar":
         planar = True

@@ -483,6 +483,8 @@ ERROR_TABLE = {
     "verify-plus-sign": (["verify"], "0 +1\n", {}, 2, 1),
     "verify-non-ascii-digit": (["verify"], "0 \u0661\n", {}, 2, 1),
     "mad-plus-sign-header": (["mad"], "+2 1\n0 1\n", {}, 2, 1),
+    "mad-negative-n-header": (["mad"], "-1 0\n", {}, 2, 1),
+    "mad-negative-m-header": (["mad"], "3 -1\n", {}, 2, 1),
     "verify-orientation-arc-mismatch": (
         ["verify", "--orientation", "{sigma}"], C4,
         {"sigma": "1 0\n0 2\n3 2\n3 0\n"}, 2, 2,

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import random_bipartite_graph
+from conftest import random_bipartite_graph, random_connected_graph, relabel
 from orientkit.cnf import decode_model, dpll, export_cnf
 from orientkit.errors import BadParamsError, IncompleteModelError
 from orientkit.exact import exists_proper_k
@@ -103,41 +103,95 @@ def test_huge_k_adds_no_work():
     assert export_cnf(g, 10**9).clauses == export_cnf(g, 2).clauses
 
 
-# sha256 of export_cnf(g, k).to_dimacs() for k = 1..4: the whole text, so any
-# change to a clause, its literal order or the variable numbering shows here
+def _random_nine():
+    """A relabelled random connected graph on 9 vertices and 14 edges: a leaf,
+    cycles and one vertex of degree 6."""
+    rng = random.Random(36)
+    return relabel(rng, random_connected_graph(rng, 9))
+
+
+PINNED_GRAPHS = {
+    "q3()": q3, "pdw(8)": lambda: pdw(8), "cycle(6)": lambda: cycle(6),
+    "theorem4(0)": lambda: theorem4(0), "star(5)": lambda: star(5), "path(4)": lambda: path(4),
+    "theorem4(1)": lambda: theorem4(1), "random(9)": _random_nine,
+}
+
+# sha256 of export_cnf(g, k).to_dimacs() for k = 1..6: the whole text, so any
+# change to a clause, its literal order or the variable numbering shows here.
+# Between them the graphs have leaves, a degree above k and a k past every
+# degree.
 DIMACS_SHA256 = {
     "q3()": (
         "1b60803cf84f3e3c1167dead782db942eb2decc3c53fa8c01df620a0941272ff",
         "11f0147392106ccd3297cdb72d00591166330d76a0eebe1beac1d84dd0878924",
         "c271cab0b3e38c60fed8ed1eed3e3efe21414a01a1686bf9071294be5a4720d2",
         "65e34f975304d461e36455968c99034c089d039143254594ccfe63df586a053a",
+        "63ca21bf096089f26b359bf5ab7f805321b2549b5f9e8acd73522e70499c908a",
+        "e24b28ea0616d1bea96129d36b30198a72cc7fe482c39cd4f9edbcb5b4ea3d4b",
     ),
     "pdw(8)": (
         "1ec61073935d2225a3499e247d89276b946d16b8de0ac25f1e278e4fd4965214",
         "fdfe0e52193e708d64d29c99a540330e0cb1cb94d264a07cc2afe7cf51badfdb",
         "3f271582665eba63a228f19f59f451df43f91dc65b096196ce3051d26b64280e",
         "c7a1df7dbe74aba75be6057f0c9b37d7ec9bdd32d823c180515b8f020a3ffe3c",
+        "e900682de1e0bf0d43af0a0100a1ece74500c9a277527d00b3f036de9381f879",
+        "95a9046125e71199d8cd12988b7be0316644521a610dfe197d9e1796e6c8acc4",
     ),
     "cycle(6)": (
         "d8e016fcb35c01442aba3859025f3699c9428358cecd3fc5a1783c49e859f00f",
         "b9fab7359133e0e27cbeb7288da1cc241dcdbaa15f22360148801d2916e32740",
         "0a6acc2dd8b47f58f2fb9372c98137171ccb551cba01249734e3366af1762113",
         "1b25e836b89536130b377110492069cdcb87b44a632079bbf4f016d264d5228b",
+        "81afb83b7786cd69f939cc8d8668af4888d08da8fd239234c1271353a7746096",
+        "adbf63e01ef13897f6f0e60e195c29264094b4dc5210019b3d823a23abf4d60a",
     ),
     "theorem4(0)": (
         "7b7dae40b13601e6866fbe2312345c0edab63c96edfc4a9038b415c8443abcdb",
         "8523d4433cf309e85154998e9ab08c77a117f243e1bc33a54ea7db1fb508c7d6",
         "3984c58d44a3ea8ade96f989d107f3871de4573c96af4070404e627a87f00933",
         "8845bc4567c5817446d03c168bd37a2f261d978b564b5042ea3b14e72216d413",
+        "508cfc76c60a4c215cdbb0449799934b2becfc8f68a3f195b76378699e01b1d3",
+        "c00161f4b8070d077c3559699692db24dcf9cf2b1eb4f51edd0f82bb77840a67",
+    ),
+    "star(5)": (
+        "e1bb778108ef00b8bfc7764af5cdaa2269777c99d3549568f430c3e26524168b",
+        "a6deab581f96910153351f5bcf498f18b533d14e22c4cd3a375e7550155bf7ce",
+        "26622452e667bcd94ec090f1a3bb0f583eb3b8a9a330d8a6ef0facd155f09191",
+        "d46fea144bd2432bddb04d1fa21484328df40d28c8a893035c07fa7de0e41649",
+        "8324653f455ca0231c11b92d4e7f902c7f2a6cab93c72a36d5fa73093f6c1a6c",
+        "c17d62140267ee16986d6533d025c2ba13c3cf9e0c8bc5674553d7d0f5780c6c",
+    ),
+    "path(4)": (
+        "68b413be32ebeb1079b7b91206027d6112443966999653357050a6d8726fb4ab",
+        "555cdf728a5c2711fd44220ca0fd8e317c790f9956440c2331140c0ed4fc3c71",
+        "909445f369590ec1efed14a44b0da39cc2c26e5a11c894e525bfc540ae1a3f38",
+        "7c5eaeaf7726ffc3522561e219bdb1d2c96d61b9eff4ec99a4cc4705a43efece",
+        "ad2415259ae10266fd86fb9face6b29e9db2985e7e02961dc1006db37607c687",
+        "3fcdddd9fc770eeaad3a8b395b5b165f5d6d979ba3f3880b37c2857adbafeb93",
+    ),
+    "theorem4(1)": (
+        "6fbd0ec4566d426c1bb598bf2ae3d5e58d2ab84ac1e14285dfdcda0bcfd4337a",
+        "3dc3ba07932e1fc624c1276aaaa796dbea75e1d80028db7afb1fbd54924e81cf",
+        "69adda7a4fcb634bcdd6db86ba773d53a1aeb54e3f49681a831b23de07c3041d",
+        "b732e46e440a1c91c2f46c53b9d03c5ee6e7c4606ccab9d9639d4c15f54c00f5",
+        "0aab85a27a126beb9294dadc65ecf4a18d0d1ccbb65538c5e4d854ed6fceec28",
+        "42a92ca59ddc8b68646595bc00b82fda8f00f96ae66e5583864a97b5e7c02cd5",
+    ),
+    "random(9)": (
+        "0ef103c2ba79370d064a63151d976cbd5c62d17b4a486869b04d64de09751428",
+        "3c083e9c16103dfa051c5a833eaa9bd17831eb3f816d3e1140f8515cda04ec1f",
+        "d3016183093fafda1444082a09ee3f6b2bb3d02a0c125feab236b65fa2818751",
+        "14bc4e4eb96e9abd04bb3386a6f094e00739149df4bd972560d606a7b234ca7d",
+        "38b99a5b8166be72e5d49324da83d257a442efa588f198b343df8a60a65be736",
+        "a762f767ca517be40f31ce66fcab99159aa093bfa1c6cb3857b5a493def62659",
     ),
 }
 
 
 @pytest.mark.parametrize("spec", DIMACS_SHA256)
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", range(1, 7))
 def test_dimacs_text_is_pinned(spec, k):
-    g = {"q3()": q3(), "pdw(8)": pdw(8), "cycle(6)": cycle(6), "theorem4(0)": theorem4(0)}[spec]
-    text = export_cnf(g, k).to_dimacs()
+    text = export_cnf(PINNED_GRAPHS[spec](), k).to_dimacs()
     assert hashlib.sha256(text.encode()).hexdigest() == DIMACS_SHA256[spec][k - 1]
 
 

@@ -110,6 +110,12 @@ def test_number_refuses_a_negative_cap():
     assert proper_orientation_number(Graph(n=3, edges=()), 0).value == 0
 
 
+def test_a_negative_k_has_no_orientation():
+    # no indegree is below 0, so not even the edgeless graph has one
+    assert exists_proper_k(cycle(4), -1) is None
+    assert exists_proper_k(Graph(n=3, edges=()), -1) is None
+
+
 def test_number_at_least_pseudoarboricity():
     rng = random.Random(17)
     for _ in range(8):

@@ -119,3 +119,27 @@ def test_the_walk_sees_calls_between_modules():
     # build_parser binds every command
     assert ("cli", "_cmd_check_t4") in reached
     assert ("cnf", "dpll") not in reached
+
+
+def _flow_importers(sources):
+    """The modules of sources (module name -> text), flow aside, that import flow."""
+    importers = set()
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                dotted = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                dotted = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if module != "flow" and any("flow" in name.split(".") for name in dotted):
+                importers.add(module)
+    return importers
+
+
+def test_no_module_but_flow_imports_flow():
+    # so no command, Mad or k-orientation can run a max flow
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _flow_importers(sources) == set()
+    for planted in ("from .flow import Dinic", "from . import flow", "import orientkit.flow"):
+        assert _flow_importers({**sources, "density": f"{planted}\n"}) == {"density"}

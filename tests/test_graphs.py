@@ -4,6 +4,7 @@ import re
 import pytest
 
 from conftest import _two_colouring, relabel
+from orientkit import graphs
 from orientkit.errors import (
     DuplicateEdgeError,
     HeaderFormatError,
@@ -167,6 +168,89 @@ def test_a_last_line_without_its_newline_reads_as_the_line_reader_reads_it():
             pairs, lines = read_pairs(text, 2)
             assert (pairs, list(lines)) == read_pairs(text.replace(" ", "\t"), 2)
         assert isinstance(read_pairs(body[:-1])[1], range)  # read in one pass
+
+
+# every str.splitlines() line end, tab, "-", "x", "planar" and a run one digit
+# past the limit, beside the digits, spaces and lines of a canonical text
+READER_ALPHABET = [
+    "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    "\t", "-", "x", "planar", "1" * 4301, " ", "0", "7", "12", "3 4\n", "56 0\n",
+]
+
+
+def _canonical(text):
+    """The one-pass reader's shape, defined apart from it: split on "\n", the
+    last line may lack its "\n", and every line is two runs of 1..4300 digits
+    around one space."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return all(re.fullmatch("[0-9]{1,4300} [0-9]{1,4300}", line) for line in lines)
+
+
+def test_the_one_pass_reader_takes_exactly_the_canonical_texts():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(parts=st.lists(st.sampled_from(READER_ALPHABET), max_size=20))
+    def check(parts):
+        text = "".join(parts)
+        try:
+            lines = read_pairs(text)[1]
+        except ParseError:  # only the line reader meets a bad line
+            lines = None
+        assert isinstance(lines, range) == _canonical(text)
+
+    check()
+
+
+def test_the_header_is_the_first_line_that_splitlines_cuts(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    class Stop(Exception):
+        pass
+
+    seen = {}
+    read_header = graphs.read_ints
+
+    def spy_ints(tokens, line=None):
+        seen["header"] = list(tokens)
+        return read_header(tokens, line)
+
+    def spy_pairs(body, first_line=1):
+        seen["body"] = body
+        raise Stop  # before any Graph: a drawn header may ask for 10**20 vertices
+
+    # parse_graph calls read_ints only on the header once read_pairs is stubbed
+    monkeypatch.setattr(graphs, "read_ints", spy_ints)
+    monkeypatch.setattr(graphs, "read_pairs", spy_pairs)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(parts=st.lists(st.sampled_from(READER_ALPHABET), min_size=1, max_size=20))
+    def check(parts):
+        text = "".join(parts)
+        seen.clear()
+        try:
+            parse_graph(text)
+        except (Stop, ParseError):
+            pass
+        tokens = text.splitlines()[0].split()
+        if tokens[2:] == ["planar"]:
+            tokens = tokens[:2]
+        assert seen.get("header") == (tokens if len(tokens) == 2 else None)
+        if "body" in seen:
+            assert seen["body"] == "".join(text.splitlines(keepends=True)[1:])
+
+    check()
+
+
+def test_a_negative_header_is_named_at_line_1():
+    for text in ("-1 0\n", "3 -1\n"):
+        with pytest.raises(HeaderFormatError) as exc:
+            parse_graph(text)
+        assert str(exc.value) == "line 1: n and m must be nonnegative"
 
 
 def test_read_ints_digit_limit():
