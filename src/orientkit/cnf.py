@@ -7,15 +7,16 @@ stack; it learns no clauses.
 One boolean per edge gives the direction (true = arc from the first listed
 endpoint into the second).  Each vertex v gets a two-sided sequential
 counter over its incoming literals; register bit r(v,j) holds iff
-indegree(v) >= j, for j up to min(deg v, k).  Each literal read rebuilds
-the register in three cases: the first bit, with only the constant
-r(v,0) = true below it; the middle bits, with a real bit below and beside;
-and, while the register still grows, the new top bit, with the constant
-r(v,j) = false beside it.  Indegrees above k are forbidden, and for every
-edge uv and every t up to the shorter of the two registers a clause rules
-out indegree(u) = indegree(v) = t, with the constant bits r(.,0) = true
-and r(.,j) = false past a register folded away; a larger t is out of one
-end's reach and needs no clause.
+indegree(v) >= j, for j up to min(deg v, k).  A register's bits are
+consecutive variables, so it is kept as two ints, its first variable and
+its width.  Each literal read rebuilds the register in three cases: the
+first bit, with only the constant r(v,0) = true below it; the middle bits,
+with a real bit below and beside; and, while the register still grows, the
+new top bit, with the constant r(v,j) = false beside it.  Indegrees above k
+are forbidden, and for every edge uv and every t up to the shorter of the
+two registers a clause rules out indegree(u) = indegree(v) = t, with the
+constant bits r(.,0) = true and r(.,j) = false past a register folded
+away; a larger t is out of one end's reach and needs no clause.
 """
 
 from __future__ import annotations
@@ -62,47 +63,56 @@ def export_cnf(g, k):
         incoming[v].append(i + 1)
         incoming[u].append(-(i + 1))
 
-    registers = []  # registers[v][j-1] = var for "indegree(v) >= j", j <= min(deg, k)
+    registers = []  # (first, width): r(v,j) is variable first + j - 1 for 1 <= j <= width
     for v in range(g.n):
         lits = incoming[v]
-        width = min(len(lits), k)
-        # reg[j-1] = r(v,j) over the literals read so far; new is reg after lit
-        reg = range(0)
+        top = min(len(lits), k)
+        # r(v,1..width) over the literals read so far is first..first+width-1;
+        # after lit it is new..new+width-1+grow
+        first = width = 0
         for lit in lits:
-            grow = len(reg) < width
-            new = range(next_var, next_var + len(reg) + grow)
-            next_var = new.stop
+            grow = width < top
+            new = next_var
+            next_var += width + grow
             # the first bit: only r(v,0) = true below it
-            if reg:
-                clauses += ([-reg[0], new[0]], [-lit, new[0]], [-new[0], reg[0], lit])
+            if width:
+                clauses += ([-first, new], [-lit, new], [-new, first, lit])
             else:  # and r(v,1) = false beside it: the bit is lit
-                clauses += ([-lit, new[0]], [-new[0], lit])
-            # the middle bits: a real bit below and beside
-            for j in range(1, len(reg)):
-                below, was, bit = reg[j - 1], reg[j], new[j]
+                clauses += ([-lit, new], [-new, lit])
+            # the middle bits: a real bit below and beside; bit j of new is
+            # was + shift, where was is bit j of the register
+            shift = new - first
+            for below in range(first, first + width - 1):
+                was = below + 1
+                bit = was + shift
                 clauses += ([-was, bit], [-lit, -below, bit], [-bit, was, lit], [-bit, was, below])
             # the new top bit: r(v,j) = false beside it
-            if reg and grow:
-                below, bit = reg[-1], new[-1]
+            if width and grow:
+                below, bit = first + width - 1, new + width
                 clauses += ([-lit, -below, bit], [-bit, lit], [-bit, below])
             # forbid reaching k+1: not(lit & r(v,k))
-            if len(reg) >= k:
-                clauses.append([-lit, -reg[k - 1]])
-            reg = new
-        registers.append(reg)
+            if width >= k:
+                clauses.append([-lit, -(first + k - 1)])
+            first, width = new, width + grow
+        registers.append((first, width))
 
     # properness: for each edge uv and t, not both indegrees equal t; past
-    # the shorter register one r(w,t) is constant false, so t stops there
+    # the shorter register one r(w,t) is constant false, so t stops there.
+    # Both ends read the edge's literal, so both registers have r(.,1).
     for u, v in g.edges:
-        pair = (registers[u], registers[v])
-        for t in range(min(map(len, pair)) + 1):
-            clause = []
-            for reg in pair:
-                if t >= 1:
-                    clause.append(-reg[t - 1])
-                if t < len(reg):
-                    clause.append(reg[t])
-            clauses.append(clause)
+        fu, wu = registers[u]
+        fv, wv = registers[v]
+        top = min(wu, wv)
+        clauses.append([fu, fv])
+        for t in range(1, top):
+            clauses.append([-(fu + t - 1), fu + t, -(fv + t - 1), fv + t])
+        clause = [-(fu + top - 1)]
+        if top < wu:
+            clause.append(fu + top)
+        clause.append(-(fv + top - 1))
+        if top < wv:
+            clause.append(fv + top)
+        clauses.append(clause)
 
     return CnfDocument(num_vars=next_var - 1, clauses=clauses, comments=comments)
 

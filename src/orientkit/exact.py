@@ -11,10 +11,14 @@ orientation the indegrees sum to m, and in a proper k-orientation
 indeg(w) <= cap(w) = min(k, deg w).  On an edge uv with cap(u) = cap(v) = c
 the two indegrees differ, so indeg(u) + indeg(v) <= 2c - 1.  Hence for any
 matching M of such equal-cap edges, m <= sum(cap) - |M|; when that fails no
-proper k-orientation exists.  M is built greedily in the search order.  On
-pdw(m) at k = 2, sum(cap) = 4m + 4 is |E| + 4, so any |M| >= 5 refutes it;
-for m >= 8 every maximal matching is that large, in any labelling.
-The check only discards inputs with no solution, so witnesses are unchanged.
+proper k-orientation exists.  M is built greedily in the search order,
+then grown by augmenting paths until it refutes k or no path is found
+(neither runs when even n/2 edges could not refute).  The augmenting search has
+no blossom step: M is a maximum matching on bipartite inputs and a valid
+one on any input, so every refutation is sound.  On pdw(m) at k = 2,
+sum(cap) = 4m + 4 is |E| + 4, so any |M| >= 5 refutes it; for m >= 8 every
+maximal matching is that large, in any labelling.  The check only discards
+inputs with no solution, so witnesses are unchanged.
 """
 
 from __future__ import annotations
@@ -33,6 +37,66 @@ class ExactResult:
     witness: Orientation
 
 
+def _equal_cap_matching(g, ends, cap, enough):
+    """Disjoint edges uv with cap[u] == cap[v], as pairs (u, v) with u < v.
+
+    A greedy pass over ``ends`` in order comes first.  Then, from each free
+    vertex in id order, a depth-first search on an explicit stack looks for
+    an augmenting path and flips it.  Both stop as soon as the matching
+    holds ``enough`` pairs.
+
+    The search has no blossom step, so an odd cycle can hide a path from
+    it; but every path it flips has distinct vertices, so the result is
+    always a matching.  On a bipartite graph a search that runs out leaves
+    it maximum (Kuhn; Berge's theorem).  There a failed search's tree is
+    Hungarian: the matched edges at its vertices stay inside it and every
+    equal-cap neighbour of an outer vertex is an inner one, so no
+    augmenting path meets it, now or after later flips.  Its vertices
+    therefore stay marked until the next flip, and the searches between two
+    flips read each edge at most twice.
+    """
+    mate = [-1] * g.n
+    size = 0
+    for u, v in ends:
+        if cap[u] == cap[v] and mate[u] < 0 and mate[v] < 0:
+            mate[u], mate[v] = v, u
+            size += 1
+            if size >= enough:
+                break
+    if size < enough:
+        adjacency = g.adjacency
+        seen = [-1] * g.n  # seen[w] == size: w was reached since the last flip
+        for root in range(g.n):
+            if mate[root] >= 0:
+                continue
+            c = cap[root]
+            seen[root] = size
+            # the outer vertices of the path from root, each with its
+            # unread neighbours; every one but root is the mate of the
+            # vertex that led to it
+            stack = [(root, iter(adjacency[root]))]
+            while stack:
+                for y, _ in stack[-1][1]:
+                    if cap[y] != c or seen[y] == size:
+                        continue
+                    seen[y] = size
+                    z = mate[y]
+                    if z < 0:  # flip the path root .. y
+                        for x, _ in reversed(stack):
+                            mate[x], mate[y], y = y, x, mate[x]
+                        stack = []
+                        size += 1
+                    else:
+                        seen[z] = size
+                        stack.append((z, iter(adjacency[z])))
+                    break
+                else:
+                    stack.pop()
+            if size >= enough:
+                break
+    return [(u, v) for u, v in enumerate(mate) if u < v]
+
+
 def exists_proper_k(g, k):
     """First proper k-orientation in the deterministic search order, or None."""
     if k < 0:
@@ -42,15 +106,11 @@ def exists_proper_k(g, k):
     order = sorted(range(m), key=lambda i: (-(deg[g.edges[i][0]] + deg[g.edges[i][1]]), i))
     ends = [g.edges[i] for i in order]
 
-    # the counting refutation of the module docstring, over a greedy matching
+    # the counting refutation of the module docstring; no matching has more
+    # than n/2 edges, so with spare >= n/2 there is nothing to look for
     cap = [min(k, d) for d in deg]
-    matched = [False] * g.n
     spare = sum(cap) - m
-    for u, v in ends:
-        if cap[u] == cap[v] and not (matched[u] or matched[v]):
-            matched[u] = matched[v] = True
-            spare -= 1
-    if spare < 0:
+    if spare < g.n // 2 and len(_equal_cap_matching(g, ends, cap, spare + 1)) > spare:
         return None
 
     indeg = [0] * g.n

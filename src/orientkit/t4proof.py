@@ -17,7 +17,8 @@ properness transfer between adjacent tiers, it rules out any proper
 established by classifying all 2^(2L) orientations, never by trusting the
 prose; each orientation is the pair of its arcs into hub 0 and its arcs
 into hub 1, and the cap test is decided once per half, not once per
-orientation.  The glue logic is cross-checked against the exact solver on
+orientation; a half is paired only when what it leaves uncovered fits
+under the cap.  The glue logic is cross-checked against the exact solver on
 the same layout at reduced scale.
 """
 
@@ -63,8 +64,11 @@ def check_left_pigeonhole(left_size, right_cap):
     hub 1, so a mask is a pair of L-bit halves ``a`` (into hub 0) and ``b``
     (into hub 1).  Each half's cap test is decided once per half rather than
     once per mask; a pair of halves within the cap is a counterexample when
-    ``a | b`` covers every left vertex.  A negative ``left_size`` is a
-    BadParamsError; a negative ``right_cap`` is vacuously ok.
+    ``a | b`` covers every left vertex.  Such a ``b`` contains ``full ^ a``,
+    so a capped ``a`` is paired only when ``full ^ a`` is within the cap
+    too; every other mask fails the cap or the cover test, so all 4^L are
+    still classified.  A negative ``left_size`` is a BadParamsError; a
+    negative ``right_cap`` is vacuously ok.
     """
     if left_size < 0:
         raise BadParamsError(f"left_size must be >= 0, got {left_size}")
@@ -74,8 +78,11 @@ def check_left_pigeonhole(left_size, right_cap):
     for x in range(1, half):
         spread[x] = spread[x >> 1] << 2 | x & 1
     capped = [x for x in range(half) if x.bit_count() <= right_cap]
+    # b covers full ^ a, so a pairs with nothing when that is over the cap
     counterexamples = tuple(sorted(
-        spread[a] | spread[b] << 1 for a in capped for b in capped if a | b == full
+        spread[a] | spread[b] << 1
+        for a in capped if (full ^ a).bit_count() <= right_cap
+        for b in capped if a | b == full
     ))
     return GadgetResult(enumerated_count=half * half, counterexamples=counterexamples)
 

@@ -2,7 +2,7 @@
 
 The oracles here are deliberately independent of the library's algorithms:
 Mad and k-orientation witnesses by subset enumeration, properness by
-trying all 2^|E| orientations.
+trying all 2^|E| orientations, matchings by trying each edge in and out.
 """
 
 from __future__ import annotations
@@ -66,6 +66,21 @@ def brute_force_exists_proper_k(g, k):
         ):
             return True
     return False
+
+
+def brute_force_max_matching(edges):
+    """Size of a largest set of pairwise disjoint edges: each edge in turn
+    is left out or, when both its ends are free, taken."""
+    def best(i, used):
+        if i == len(edges):
+            return 0
+        u, v = edges[i]
+        without = best(i + 1, used)
+        if u in used or v in used:
+            return without
+        return max(without, 1 + best(i + 1, used | {u, v}))
+
+    return best(0, frozenset())
 
 
 def unicyclic(n):

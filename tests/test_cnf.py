@@ -10,7 +10,7 @@ from orientkit.cnf import decode_model, dpll, export_cnf
 from orientkit.errors import BadParamsError, IncompleteModelError
 from orientkit.exact import exists_proper_k
 from orientkit.generators import complete_bipartite, cycle, path, pdw, q3, star, theorem4
-from orientkit.graphs import parse_graph
+from orientkit.graphs import Graph, parse_graph
 from orientkit.orientation import verify_orientation
 
 
@@ -110,16 +110,23 @@ def _random_nine():
     return relabel(rng, random_connected_graph(rng, 9))
 
 
+def _isolated_nine():
+    """A 4-cycle 1-3-5-7 with the chord path 7-8-1, and 0, 2, 4, 6 isolated:
+    the isolated vertices get no register bit."""
+    return Graph(n=9, edges=((1, 3), (3, 5), (5, 7), (7, 1), (7, 8), (1, 8)))
+
+
 PINNED_GRAPHS = {
     "q3()": q3, "pdw(8)": lambda: pdw(8), "cycle(6)": lambda: cycle(6),
     "theorem4(0)": lambda: theorem4(0), "star(5)": lambda: star(5), "path(4)": lambda: path(4),
     "theorem4(1)": lambda: theorem4(1), "random(9)": _random_nine,
+    "isolated(9)": _isolated_nine,
 }
 
 # sha256 of export_cnf(g, k).to_dimacs() for k = 1..6: the whole text, so any
 # change to a clause, its literal order or the variable numbering shows here.
-# Between them the graphs have leaves, a degree above k and a k past every
-# degree.
+# Between them the graphs have leaves, isolated vertices, a degree above k
+# and a k past every degree.
 DIMACS_SHA256 = {
     "q3()": (
         "1b60803cf84f3e3c1167dead782db942eb2decc3c53fa8c01df620a0941272ff",
@@ -184,6 +191,14 @@ DIMACS_SHA256 = {
         "14bc4e4eb96e9abd04bb3386a6f094e00739149df4bd972560d606a7b234ca7d",
         "38b99a5b8166be72e5d49324da83d257a442efa588f198b343df8a60a65be736",
         "a762f767ca517be40f31ce66fcab99159aa093bfa1c6cb3857b5a493def62659",
+    ),
+    "isolated(9)": (
+        "8e9b3dd07d737dfde21812f8658e5b02a77a2c03b11d6aef41f2dbaee49969f4",
+        "863087cce5e8fd407898cac2810803ed8168a91951a1f3313fee7992a1c7002f",
+        "fd2eee2fc294c15b3ff5d23711b8e8618ab8c673290fa9b1eca6b36d45802cba",
+        "9b5ce2de8362cb40eed0f9d7257bddda633d0df9dbe6ade8ee75e8995eff4c8c",
+        "7bb9dd1a5ba0f0a76670144712c3cfbaf2c6b559aca25e53ef628c01e5a0ad19",
+        "9415345f980d1f296fd968f5da7497cf09e64494eda2693e811aeb7ce153b12e",
     ),
 }
 

@@ -1,10 +1,12 @@
 import random
+import sys
 from itertools import combinations, permutations
 
 import pytest
 
 from conftest import (
     brute_force_exists_proper_k,
+    brute_force_max_matching,
     flagged_graph_with_no_2_orientation,
     random_bipartite_graph,
     random_connected_graph,
@@ -18,6 +20,7 @@ from orientkit.errors import (
     PreconditionMadError,
 )
 from orientkit.exact import (
+    _equal_cap_matching,
     exists_proper_k,
     is_q3,
     proper_orientation_number,
@@ -313,3 +316,103 @@ def test_agrees_with_brute_force_on_relabelled_random_graphs():
             found = exists_proper_k(g, k) is not None
             assert found == brute_force_exists_proper_k(g, k), (g.edges, k)
         checked += 1
+
+
+def _search_order(g):
+    """g's edges in the order exists_proper_k decides them."""
+    deg = g.degrees()
+    return [g.edges[i] for i in sorted(
+        range(g.m), key=lambda i: (-(deg[g.edges[i][0]] + deg[g.edges[i][1]]), i))]
+
+
+def _equal_caps(g, k):
+    """The caps min(k, deg) and the edges whose two ends share one."""
+    cap = [min(k, d) for d in g.degrees()]
+    return cap, [(u, v) for u, v in g.edges if cap[u] == cap[v]]
+
+
+def _assert_equal_cap_matching(g, cap, pairs):
+    edges = {frozenset(e) for e in g.edges}
+    ends = [w for pair in pairs for w in pair]
+    assert len(set(ends)) == len(ends)
+    for u, v in pairs:
+        assert u < v and frozenset((u, v)) in edges and cap[u] == cap[v]
+
+
+def test_equal_cap_matching_is_maximum_on_bipartite_graphs():
+    rng = random.Random(43)
+    for _ in range(60):
+        nx, ny = rng.randrange(2, 7), rng.randrange(2, 7)
+        g = relabel(rng, random_bipartite_graph(rng, nx, ny, rng.randrange(1, min(ny, 3) + 1)))
+        for k in range(1, 5):
+            cap, equal = _equal_caps(g, k)
+            pairs = _equal_cap_matching(g, _search_order(g), cap, g.n)
+            _assert_equal_cap_matching(g, cap, pairs)
+            assert len(pairs) == brute_force_max_matching(equal), (g.edges, k)
+
+
+def test_equal_cap_matching_is_a_matching_on_any_graph():
+    # an odd cycle can hide a path from a search with no blossom step, so the
+    # matching may fall short of a maximum one; it is never invalid
+    rng = random.Random(44)
+    for _ in range(60):
+        g = relabel(rng, random_connected_graph(rng, rng.randrange(3, 10)))
+        for k in range(1, 5):
+            cap, equal = _equal_caps(g, k)
+            pairs = _equal_cap_matching(g, _search_order(g), cap, g.n)
+            _assert_equal_cap_matching(g, cap, pairs)
+            assert len(pairs) <= brute_force_max_matching(equal), (g.edges, k)
+
+
+def test_equal_cap_matching_needs_no_recursion():
+    # the path 0 - 1 - ... - 3999 with (1, 2), (3, 4), ... listed first: the
+    # greedy pass leaves 0 and 3999 free, and the one augmenting path joins
+    # them through all 4000 vertices, far past the recursion limit
+    n = 4000
+    edges = [(i, i + 1) for i in range(1, n - 1, 2)] + [(i, i + 1) for i in range(0, n, 2)]
+    g = Graph(n=n, edges=tuple(edges))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        pairs = _equal_cap_matching(g, g.edges, [1] * n, n // 2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert pairs == [(i, i + 1) for i in range(0, n, 2)]
+
+
+# Relabelled random bipartite, 8 vertices and 13 edges, no degree below 2:
+# at k = 2 every cap is 2, so a proper 2-orientation needs 13 <= 16 - |M|
+# for every matching M.  The greedy pass in search order stops at 3 edges,
+# which refutes nothing; a maximum matching has 4, which does.
+GREEDY_MISS = Graph(n=8, edges=(
+    (2, 5), (3, 5), (5, 7), (0, 1), (6, 2), (2, 1), (4, 2), (3, 4), (1, 7), (4, 7),
+    (7, 6), (0, 5), (6, 3)))
+
+
+def test_maximum_matching_refutes_where_greedy_missed():
+    g = GREEDY_MISS
+    cap, equal = _equal_caps(g, 2)
+    assert sum(cap) - g.m == 3 and len(equal) == g.m
+    used = set()
+    for u, v in _search_order(g):  # the greedy pass alone
+        if not {u, v} & used:
+            used |= {u, v}
+    assert len(used) == 2 * 3
+    assert brute_force_max_matching(equal) == 4
+    assert exists_proper_k(g, 2) is None
+    assert not brute_force_exists_proper_k(g, 2)
+    assert proper_orientation_number(g, 4).value == 3
+    assert brute_force_exists_proper_k(g, 3)
+
+
+def test_agrees_with_brute_force_on_relabelled_bipartite_graphs():
+    # bipartite equal-cap edges are where the augmenting search refutes most
+    rng = random.Random(45)
+    for _ in range(60):
+        nx, ny = rng.randrange(3, 6), rng.randrange(3, 6)
+        pairs = [(x, nx + y) for x in range(nx) for y in range(ny)]
+        edges = rng.sample(pairs, rng.randrange(6, min(14, len(pairs)) + 1))
+        g = relabel(rng, Graph(n=nx + ny, edges=tuple(edges)))
+        for k in range(1, 4):
+            found = exists_proper_k(g, k) is not None
+            assert found == brute_force_exists_proper_k(g, k), (g.edges, k)
