@@ -4,73 +4,70 @@ k-orientations by path reversal, the switching construction for proper
 (k+1)-orientations, exact maximum average degree, exact proper-orientation
 numbers at desk scale, instance generators, and the tightness certificate
 for the minimum-degree-2 family.
+
+Importing the package imports none of its modules.  Each name of
+``__all__``, and each module (``orientkit.generators``, say), is imported
+when it is first read, so a command that never reads Mad does not load
+``density`` or ``fractions``.  Nothing read is stored here: every read
+returns the defining module's current value.
 """
+
+import importlib
+import sys
 
 __version__ = "0.1.0"
 
-from .density import DensityReport, mad_exact, pseudoarboricity
-from .exact import (
-    ExactResult,
-    exists_proper_k,
-    proper_orientation_number,
-    quadrangulation_number,
-)
-from .cnf import CnfDocument, decode_model, export_cnf
-from .generators import FamilySpec, generate
-from .graphs import (
-    Bipartition,
-    Graph,
-    bipartition,
-    min_degree,
-    parse_graph,
-    serialize_graph,
-)
-from .orientation import (
-    Infeasible,
-    Orientation,
-    OrientationReport,
-    k_orientation,
-    proper_bipartite_orientation,
-    proper_three_orientation,
-    verify_orientation,
-)
-from .t4proof import (
-    CertificateReport,
-    GadgetResult,
-    check_left_pigeonhole,
-    verify_lower_bound_certificate,
-    witness_four_orientation,
-)
+# Each public name -> the module that defines it.
+_HOMES = {
+    "Bipartition": "graphs",
+    "CertificateReport": "t4proof",
+    "CnfDocument": "cnf",
+    "DensityReport": "density",
+    "ExactResult": "exact",
+    "FamilySpec": "generators",
+    "GadgetResult": "t4proof",
+    "Graph": "graphs",
+    "Infeasible": "orientation",
+    "Orientation": "orientation",
+    "OrientationReport": "orientation",
+    "bipartition": "graphs",
+    "check_left_pigeonhole": "t4proof",
+    "decode_model": "cnf",
+    "exists_proper_k": "exact",
+    "export_cnf": "cnf",
+    "generate": "generators",
+    "k_orientation": "orientation",
+    "mad_exact": "density",
+    "min_degree": "graphs",
+    "parse_graph": "graphs",
+    "proper_bipartite_orientation": "orientation",
+    "proper_orientation_number": "exact",
+    "proper_three_orientation": "orientation",
+    "pseudoarboricity": "density",
+    "quadrangulation_number": "exact",
+    "serialize_graph": "graphs",
+    "verify_lower_bound_certificate": "t4proof",
+    "verify_orientation": "orientation",
+    "witness_four_orientation": "t4proof",
+}
 
-__all__ = [
-    "Bipartition",
-    "CertificateReport",
-    "CnfDocument",
-    "DensityReport",
-    "ExactResult",
-    "FamilySpec",
-    "GadgetResult",
-    "Graph",
-    "Infeasible",
-    "Orientation",
-    "OrientationReport",
-    "bipartition",
-    "check_left_pigeonhole",
-    "decode_model",
-    "exists_proper_k",
-    "export_cnf",
-    "generate",
-    "k_orientation",
-    "mad_exact",
-    "min_degree",
-    "parse_graph",
-    "proper_bipartite_orientation",
-    "proper_orientation_number",
-    "proper_three_orientation",
-    "pseudoarboricity",
-    "quadrangulation_number",
-    "serialize_graph",
-    "verify_lower_bound_certificate",
-    "verify_orientation",
-    "witness_four_orientation",
-]
+__all__ = list(_HOMES)
+
+
+def __getattr__(name):
+    """A public name, or a module of the package, on first read (PEP 562)."""
+    home = _HOMES.get(name)
+    if home is None:
+        try:  # the import binds the module here, so this runs once per module
+            return importlib.import_module(f"{__name__}.{name}")
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    # sys.modules first: import_module costs twice as much on every read
+    module = sys.modules.get(f"{__name__}.{home}") or importlib.import_module(f"{__name__}.{home}")
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

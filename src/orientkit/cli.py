@@ -21,20 +21,12 @@ import argparse
 import sys
 
 from . import __version__
-from .cnf import decode_model, export_cnf
-from .density import mad_exact
 from .errors import (
     BadParamsError,
     OrientKitError,
     ParseError,
     SelfLoopError,
     VertexRangeError,
-)
-from .exact import proper_orientation_number, quadrangulation_number
-from .generators import (
-    FamilySpec,
-    generate,
-    theorem4_id_table,
 )
 from .graphs import (
     bipartition,
@@ -43,19 +35,6 @@ from .graphs import (
     read_ints,
     read_pairs,
     serialize_graph,
-)
-from .orientation import (
-    Infeasible,
-    Orientation,
-    k_orientation,
-    proper_bipartite_orientation,
-    proper_three_orientation,
-    verify_orientation,
-)
-from .t4proof import (
-    reduced_scale_crosscheck,
-    verify_lower_bound_certificate,
-    witness_four_orientation,
 )
 
 
@@ -90,6 +69,8 @@ def _read_graph(args):
 
 
 def _read_orientation(g, path):
+    from .orientation import Orientation
+
     arcs, line_numbers = read_pairs(_read_text(path))
     if len(arcs) != g.m:
         raise ParseError(f"orientation file has {len(arcs)} arcs, graph has {g.m} edges")
@@ -102,12 +83,16 @@ def _read_orientation(g, path):
 
 
 def _cmd_mad(args):
+    from .density import mad_exact
+
     report = mad_exact(_read_graph(args))
     witness = " ".join(str(v) for v in sorted(report.witness))
     return f"mad = {report.mad.numerator}/{report.mad.denominator}\nwitness: {witness}\n"
 
 
 def _cmd_orient(args):
+    from .orientation import Infeasible, k_orientation
+
     result = k_orientation(_read_graph(args), args.k)
     if isinstance(result, Infeasible):
         witness = " ".join(str(v) for v in result.witness)
@@ -116,6 +101,8 @@ def _cmd_orient(args):
 
 
 def _cmd_proper(args):
+    from .orientation import proper_bipartite_orientation
+
     g = _read_graph(args)
     # class X always contains vertex 0, so "auto" and "0" coincide
     x_class = "Y" if args.x_class == "1" else "X"
@@ -123,22 +110,32 @@ def _cmd_proper(args):
 
 
 def _cmd_proper3(args):
+    from .orientation import proper_three_orientation
+
     return _arcs_text(proper_three_orientation(_read_graph(args)))
 
 
 def _cmd_exact(args):
+    from .exact import proper_orientation_number
+
     return f"chi_orient = {proper_orientation_number(_read_graph(args), args.kmax).value}\n"
 
 
 def _cmd_quad(args):
+    from .exact import quadrangulation_number
+
     return f"chi_orient = {quadrangulation_number(_read_graph(args))}\n"
 
 
 def _cmd_cnf(args):
+    from .cnf import export_cnf
+
     return export_cnf(_read_graph(args), args.k).to_dimacs()
 
 
 def _cmd_decode(args):
+    from .cnf import decode_model
+
     g = _read_graph(args)
     literals = []
     for lineno, line in enumerate(_read_text(args.model).splitlines(), 1):
@@ -152,6 +149,8 @@ def _cmd_decode(args):
 
 
 def _parse_family(token):
+    from .generators import FamilySpec
+
     if ":" in token:
         name, raw = token.split(":", 1)
         params = tuple(read_ints(raw.split(",")))
@@ -162,6 +161,8 @@ def _parse_family(token):
 
 
 def _cmd_gen(args):
+    from .generators import generate, theorem4_id_table
+
     spec = _parse_family(args.family)
     if args.id_table and spec.family != "theorem4":
         raise BadParamsError("--id-table needs the t4 family")
@@ -173,6 +174,8 @@ def _cmd_gen(args):
 
 
 def _cmd_verify(args):
+    from .orientation import Orientation, verify_orientation
+
     if args.orientation:
         g = _read_graph(args)
         sigma = _read_orientation(g, args.orientation)
@@ -196,6 +199,13 @@ def _cmd_verify(args):
 
 
 def _cmd_check_t4(args):
+    from .orientation import verify_orientation
+    from .t4proof import (
+        reduced_scale_crosscheck,
+        verify_lower_bound_certificate,
+        witness_four_orientation,
+    )
+
     if args.emit_witness == "-":
         raise BadParamsError("--emit-witness needs a file: stdout carries the report")
     sigma = witness_four_orientation(args.extra)  # checks --extra before any enumeration

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .density import pseudoarboricity
 from .errors import BadParamsError, ExceedsCapError, NotBipartiteError, PreconditionFailedError
-from .graphs import bipartition
+from .graphs import bipartition, min_degree
 from .orientation import Orientation, proper_three_orientation
 
 
@@ -167,10 +167,19 @@ def proper_orientation_number(g, k_max):
     Scans upward from the pseudoarboricity, a valid lower bound since any
     orientation of G has max indegree at least that (0 for an edgeless G).
     k_max < 0 is a BadParamsError.
+
+    The switching bound settles k = 3 without search: when the scan reaches
+    3 from a pseudoarboricity <= 2 (so G has a 2-orientation and every
+    smaller k is refuted) and G is bipartite with min degree >= 3, the
+    paper's theorem gives a proper 3-orientation, and the witness is
+    ``proper_three_orientation(g)``, not the first one in search order.
     """
     if k_max < 0:
         raise BadParamsError(f"k_max must be >= 0, got {k_max}")
-    for k in range(pseudoarboricity(g), k_max + 1):
+    lower = pseudoarboricity(g)
+    for k in range(lower, k_max + 1):
+        if k == 3 and lower <= 2 and min_degree(g) >= 3 and _is_bipartite(g):
+            return ExactResult(value=3, witness=proper_three_orientation(g))
         witness = exists_proper_k(g, k)
         if witness is not None:
             return ExactResult(value=k, witness=witness)
@@ -184,8 +193,10 @@ def is_q3(g):
     has 12/3 = 4 vertices: it is K_{4,4} minus a perfect matching, and that
     is the cube.
     """
-    if g.n != 8 or g.m != 12 or any(d != 3 for d in g.degrees()):
-        return False
+    return g.n == 8 and g.m == 12 and all(d == 3 for d in g.degrees()) and _is_bipartite(g)
+
+
+def _is_bipartite(g):
     try:
         bipartition(g)
     except NotBipartiteError:

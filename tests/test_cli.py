@@ -342,7 +342,7 @@ def test_check_t4_refuses_emit_witness_to_stdout(tmp_path, capsys, monkeypatch):
     # stdout carries the report, so "-" is a usage error found before any
     # enumeration, and no file named "-" appears
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr("orientkit.cli.verify_lower_bound_certificate",
+    monkeypatch.setattr("orientkit.t4proof.verify_lower_bound_certificate",
                         mock.Mock(side_effect=AssertionError("enumerated")))
     assert run(["check-t4", "--emit-witness", "-"]) == 2
     captured = capsys.readouterr()
@@ -353,7 +353,7 @@ def test_check_t4_refuses_emit_witness_to_stdout(tmp_path, capsys, monkeypatch):
 
 def test_check_t4_checks_extra_before_enumerating(capsys, monkeypatch):
     # a negative --extra is a usage error found before any enumeration
-    monkeypatch.setattr("orientkit.cli.verify_lower_bound_certificate",
+    monkeypatch.setattr("orientkit.t4proof.verify_lower_bound_certificate",
                         mock.Mock(side_effect=AssertionError("enumerated")))
     assert run(["check-t4", "--extra", "-1"]) == 2
     captured = capsys.readouterr()
@@ -391,6 +391,41 @@ def test_verify_huge_id_under_a_memory_limit(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "proper=true max_indegree=1\n", "")
+
+
+# What each command loads past orientkit, cli, errors and graphs (every
+# command reads or writes a graph): only the modules whose code it runs.
+# fractions comes with density, whose Mad values are exact rationals.
+@pytest.mark.parametrize("argv, modules", [
+    (["gen", "pdw:20"], {"generators"}),
+    (["proper3", "pdw.txt"], {"orientation"}),
+    (["verify", "arcs.txt"], {"orientation"}),
+    (["mad", "pdw.txt"], {"density", "orientation", "fractions"}),
+    (["cnf", "-k", "3", "pdw.txt"], {"cnf", "orientation"}),
+    (["exact", "pdw.txt"], {"density", "exact", "orientation", "fractions"}),
+], ids=["gen", "proper3", "verify", "mad", "cnf", "exact"])
+def test_each_command_imports_only_what_it_runs(argv, modules, tmp_path):
+    (tmp_path / "pdw.txt").write_text(serialize_graph(pdw(20)))
+    (tmp_path / "arcs.txt").write_text("0 1\n1 2\n")
+    probe = (
+        "import sys\n"
+        "from orientkit.cli import run\n"
+        "code = run(sys.argv[1:])\n"
+        "print(code, *sorted(name for name in sys.modules\n"
+        "                    if name.startswith('orientkit') or name == 'fractions'))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert done.stderr == ""
+    code, *loaded = done.stdout.splitlines()[-1].split()
+    assert code == "0"
+    common = {"orientkit", "orientkit.cli", "orientkit.errors", "orientkit.graphs"}
+    assert set(loaded) == common | {
+        name if name == "fractions" else f"orientkit.{name}" for name in modules
+    }
 
 
 def test_gen_t4_id_table(tmp_path, capsys):

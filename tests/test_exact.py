@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -128,6 +129,28 @@ def test_number_at_least_pseudoarboricity():
         report = verify_orientation(g, result.witness)
         assert report.proper
         assert report.max_indegree <= result.value
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_number_takes_the_switching_bound_at_three(seed):
+    # the search at k = 3 took seconds on these, or gave no answer in 10 s;
+    # counting refutes k = 2, and the paper's theorem answers k = 3
+    g = relabel(random.Random(seed), pdw(30))
+    start = time.perf_counter()
+    result = proper_orientation_number(g, 6)
+    assert time.perf_counter() - start < 1
+    assert result.value == 3
+    report = verify_orientation(g, result.witness)
+    assert report.proper and report.max_indegree == 3
+
+
+def test_switching_bound_needs_a_2_orientation():
+    # K_{5,6} is bipartite with min degree 5, but its scan starts at its
+    # pseudoarboricity 3, where counting refutes it: switching is not asked
+    g = complete_bipartite(5, 6)
+    assert pseudoarboricity(g) == 3
+    with pytest.raises(ExceedsCapError):
+        proper_orientation_number(g, 3)
 
 
 def test_is_q3():

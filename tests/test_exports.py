@@ -3,10 +3,14 @@
 The call graph is read from the sources with ``ast``.  Starting from the
 roots of ``cli.py`` (``main``, ``run`` and ``build_parser``, which binds
 every ``_cmd_*``), a definition is reached when a reached definition names
-it: a call, a reference or a construction.  A reached class brings its
-methods, so a type that a reached function builds, returns or tests against
-counts as reached too.  A module-level table (such as
-``generators.FAMILIES``) is followed like a definition.
+it: a call, a reference or a construction.  A name is looked up first in
+the ``from .module import`` lines inside the definition (a command imports
+what it runs when it runs), then in those at the top of its module.  A
+reached class brings its methods, so a type that a reached function builds,
+returns or tests against counts as reached too.  A module-level table (such
+as ``generators.FAMILIES``) is followed like a definition.  The package's
+``_HOMES`` table, which ``__getattr__`` reads to import each exported name
+on demand, counts as an import of each name from its module.
 
 Public means a top-level function or class of ``src/orientkit/*.py`` whose
 name has no leading underscore, and every name in ``orientkit.__all__``.
@@ -34,12 +38,22 @@ UNREACHED = {
 }
 
 
+def _relative_imports(nodes):
+    """local name -> (module, name) for each ``from .module import name`` among nodes"""
+    return {
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in nodes
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    }
+
+
 def _modules():
     """module name -> (top-level definitions by name, local name -> (module, name))"""
     modules = {}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        defs, imports = {}, {}
+        defs, imports = {}, _relative_imports(tree.body)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[node.name] = node
@@ -48,16 +62,21 @@ def _modules():
                 for target in targets:
                     if isinstance(target, ast.Name):
                         defs[target.id] = node
-            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
-                for alias in node.names:
-                    imports[alias.asname or alias.name] = (node.module, alias.name)
+        if path.stem == "__init__":  # the export table: name -> module
+            table = defs["_HOMES"].value
+            for key, home in zip(table.keys, table.values):
+                imports[key.value] = (home.value, key.value)
         modules[path.stem] = (defs, imports)
     return modules
 
 
-def _resolve(modules, module, name):
-    """The (module, name) that defines name as seen from module, or None."""
+def _resolve(modules, module, name, local=None):
+    """The (module, name) that defines name as seen from module, or None.
+
+    local holds the imports of the definition name is read in."""
     defs, imports = modules[module]
+    if local and name in local and local[name][0] in modules:
+        return _resolve(modules, *local[name])
     if name in defs:
         return module, name
     if name in imports and imports[name][0] in modules:
@@ -70,9 +89,11 @@ def _reached(modules):
     seen = set(todo)
     while todo:
         module, name = todo.pop()
-        for node in ast.walk(modules[module][0][name]):
+        definition = modules[module][0][name]
+        local = _relative_imports(ast.walk(definition))
+        for node in ast.walk(definition):
             if isinstance(node, ast.Name):
-                target = _resolve(modules, module, node.id)
+                target = _resolve(modules, module, node.id, local)
                 if target and target not in seen:
                     seen.add(target)
                     todo.append(target)
@@ -119,6 +140,23 @@ def test_the_walk_sees_calls_between_modules():
     # build_parser binds every command
     assert ("cli", "_cmd_check_t4") in reached
     assert ("cnf", "dpll") not in reached
+
+
+def test_exports_are_read_from_their_modules_each_time(monkeypatch):
+    # the package keeps no copy: a name rebound in its module (as the
+    # benchmark's tracer and planted faults rebind it) is seen at once, and
+    # so is the restore
+    original = orientkit.mad_exact
+    replacement = object()
+    monkeypatch.setattr("orientkit.density.mad_exact", replacement)
+    assert orientkit.mad_exact is replacement
+    monkeypatch.undo()
+    assert orientkit.mad_exact is original
+    namespace = {}
+    exec("from orientkit import *", namespace)
+    assert {name: namespace[name] for name in orientkit.__all__} == {
+        name: getattr(orientkit, name) for name in orientkit.__all__
+    }
 
 
 def _flow_importers(sources):
