@@ -24,7 +24,6 @@ _HOMES = {
     "CnfDocument": "cnf",
     "DensityReport": "density",
     "ExactResult": "exact",
-    "FamilySpec": "generators",
     "GadgetResult": "t4proof",
     "Graph": "graphs",
     "Infeasible": "orientation",

@@ -11,8 +11,8 @@ result).  Every command returns its stdout text (``check-t4`` also its exit
 code, ``gen --id-table`` also its stderr text), and only ``run()`` writes
 them, to stdout or to ``-o FILE`` and then to stderr, once the command has
 succeeded; so an error leaves stdout empty and prints one ``error:`` line.
-Exit codes: 0 success, 1 domain error, 2 usage, parse or I/O error (closed
-stdin or stdout included).
+Exit codes: 0 success, 1 domain error or out of memory, 2 usage, parse or
+I/O error (closed stdin or stdout included).
 """
 
 from __future__ import annotations
@@ -148,28 +148,17 @@ def _cmd_decode(args):
     return _arcs_text(decode_model(g, args.k, literals))
 
 
-def _parse_family(token):
-    from .generators import FamilySpec
-
-    if ":" in token:
-        name, raw = token.split(":", 1)
-        params = tuple(read_ints(raw.split(",")))
-    else:
-        name, params = token, ()
-    aliases = {"t4": "theorem4", "kbip": "complete_bipartite"}
-    return FamilySpec(family=aliases.get(name, name), params=params)
-
-
 def _cmd_gen(args):
     from .generators import generate, theorem4_id_table
 
-    spec = _parse_family(args.family)
-    if args.id_table and spec.family != "theorem4":
+    name, colon, raw = args.family.partition(":")
+    params = read_ints(raw.split(",")) if colon else []
+    if args.id_table and name != "t4":
         raise BadParamsError("--id-table needs the t4 family")
-    text = serialize_graph(generate(spec))
+    text = serialize_graph(generate(name, params))
     if not args.id_table:
         return text
-    table = theorem4_id_table(*spec.params).items()
+    table = theorem4_id_table(*params).items()
     return text, 0, "".join(f"# {role}: {first}..{last}\n" for role, (first, last) in table)
 
 
@@ -324,6 +313,9 @@ def run(argv=None):
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
+    except MemoryError:  # n is not yet bounded before the graph is allocated
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 def main():

@@ -6,15 +6,8 @@ certificates are reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BadParamsError
 from .graphs import Graph
-
-@dataclass(frozen=True)
-class FamilySpec:
-    family: str
-    params: tuple = ()
 
 
 def q3():
@@ -134,24 +127,24 @@ def star(leaves):
     )
 
 
-# family name -> (constructor, number of integer parameters)
+# What `orientkit gen` accepts: family name -> (constructor, number of
+# integer parameters), in the order of gen's --help.
 FAMILIES = {
     "q3": (q3, 0),
     "pdw": (pdw, 1),
-    "theorem4": (theorem4, 1),
-    "complete_bipartite": (complete_bipartite, 2),
+    "t4": (theorem4, 1),
+    "kbip": (complete_bipartite, 2),
     "path": (path, 1),
     "cycle": (cycle, 1),
     "star": (star, 1),
 }
 
 
-def generate(spec):
-    """Dispatch a FamilySpec to its constructor."""
-    family, params = spec.family, tuple(spec.params)
+def generate(family, params=()):
+    """The graph a FAMILIES name builds from its integer parameters."""
     if family not in FAMILIES:
         raise BadParamsError(f"unknown family {family!r}")
     build, arity = FAMILIES[family]
     if len(params) != arity:
-        raise BadParamsError(f"{family} takes {arity} parameter(s), got {len(params)}")
+        raise BadParamsError(f"{build.__name__} takes {arity} parameter(s), got {len(params)}")
     return build(*params)

@@ -42,7 +42,7 @@ from .errors import (
     PreconditionMadError,
     SizeMismatchError,
 )
-from .graphs import Graph, X, bipartition, min_degree
+from .graphs import Graph, X, Y, bipartition, min_degree
 
 
 @dataclass(frozen=True)
@@ -179,9 +179,18 @@ def proper_bipartite_orientation(g, part, x_class, k):
     (Mad <= 2k).  Starting from a k-orientation, each x in X flips its
     lowest-index outgoing arcs until its indegree is exactly k+1; Y
     indegrees only drop, so the result is proper with max indegree k+1.
+
+    x_class must be X or Y and part must give a side to each vertex of g,
+    or BadParamsError.  That part is a proper 2-coloring of g is trusted,
+    not re-checked edge by edge: pass the Bipartition that ``bipartition(g)``
+    returns, which checks every edge.
     """
     if k < 1:
         raise BadParamsError(f"k must be >= 1, got {k}")
+    if x_class not in (X, Y):
+        raise BadParamsError(f"x_class must be {X!r} or {Y!r}, got {x_class!r}")
+    if len(part.side) != g.n:
+        raise BadParamsError(f"bipartition has {len(part.side)} sides for {g.n} vertices")
     x_vertices = part.vertices_in(x_class)
     for x in x_vertices:
         if g.degree(x) <= k:

@@ -11,9 +11,9 @@ from unittest import mock
 import pytest
 
 from conftest import flagged_graph_with_no_2_orientation, relabel
-from orientkit.cli import main, run
+from orientkit.cli import build_parser, main, run
 from orientkit.graphs import parse_graph
-from orientkit.generators import complete_bipartite, q3, cycle, pdw
+from orientkit.generators import FAMILIES, complete_bipartite, q3, cycle, pdw
 from orientkit.graphs import Y, bipartition, serialize_graph
 from orientkit.t4proof import check_left_pigeonhole
 
@@ -36,6 +36,15 @@ def test_gen_aliases(capsys):
     assert run(["gen", "kbip:2,3"]) == 0
     assert parse_graph(capsys.readouterr().out).m == 6
     assert run(["gen", "nosuch"]) == 2
+
+
+def test_gen_help_lists_the_families_table():
+    # cli does not import generators to build its parser, so the list is a
+    # literal; it must name the table's families, in the table's order
+    gen = build_parser()._subparsers._group_actions[0].choices["gen"]
+    family = next(action for action in gen._actions if action.dest == "family")
+    names = [token.partition(":")[0] for token in family.help.split(" | ")]
+    assert names == list(FAMILIES)
 
 
 def test_mad(capsys, monkeypatch):
@@ -393,6 +402,29 @@ def test_verify_huge_id_under_a_memory_limit(tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (0, "proper=true max_indegree=1\n", "")
 
 
+@pytest.mark.parametrize("argv, stdin", [
+    (["gen", "path:1000000000", "-o", os.devnull], ""),
+    (["mad"], "1000000000 0\n"),
+], ids=["gen", "mad"])
+def test_out_of_memory_is_one_error_line(argv, stdin, tmp_path):
+    # n is not bounded before the graph is allocated, so a huge one runs out
+    # of address space: that is one error line and exit 1, not a traceback
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no address-space limit on this platform")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400_000 * 1024, 400_000 * 1024))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "orientkit.cli", *argv], input=stdin,
+        capture_output=True, text=True, preexec_fn=limit, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: out of memory\n")
+
+
 # What each command loads past orientkit, cli, errors and graphs (every
 # command reads or writes a graph): only the modules whose code it runs.
 # fractions comes with density, whose Mad values are exact rationals.
@@ -514,6 +546,9 @@ ERROR_TABLE = {
     "gen-path-no-vertices": (["gen", "path:0"], "", {}, 2, None),
     "gen-cycle-of-two": (["gen", "cycle:2"], "", {}, 2, None),
     "gen-star-no-leaf": (["gen", "star:0"], "", {}, 2, None),
+    # only the documented short names are families
+    "gen-theorem4-long-name": (["gen", "theorem4:0"], "", {}, 2, None),
+    "gen-complete-bipartite-long-name": (["gen", "complete_bipartite:2,2"], "", {}, 2, None),
     "verify-underscore-digits": (["verify"], "0 1_0\n", {}, 2, 1),
     "verify-plus-sign": (["verify"], "0 +1\n", {}, 2, 1),
     "verify-non-ascii-digit": (["verify"], "0 \u0661\n", {}, 2, 1),

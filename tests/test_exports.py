@@ -17,7 +17,10 @@ name has no leading underscore, and every name in ``orientkit.__all__``.
 """
 
 import ast
+import sys
 from pathlib import Path
+
+import pytest
 
 import orientkit
 
@@ -157,6 +160,21 @@ def test_exports_are_read_from_their_modules_each_time(monkeypatch):
     assert {name: namespace[name] for name in orientkit.__all__} == {
         name: getattr(orientkit, name) for name in orientkit.__all__
     }
+
+
+def test_dir_lists_the_exports():
+    assert {*orientkit.__all__, "__version__"} <= set(dir(orientkit))
+
+
+def test_a_missing_dependency_of_a_module_is_not_hidden(tmp_path, monkeypatch):
+    # orientkit.<name> for a module that exists but imports a missing one
+    # raises that ModuleNotFoundError, not "no attribute <name>"
+    (tmp_path / "needs_missing.py").write_text("import orientkit_no_such_dependency\n")
+    monkeypatch.setattr(orientkit, "__path__", [*orientkit.__path__, str(tmp_path)])
+    with pytest.raises(ModuleNotFoundError) as exc:
+        orientkit.needs_missing
+    assert exc.value.name == "orientkit_no_such_dependency"
+    assert "orientkit.needs_missing" not in sys.modules
 
 
 def _flow_importers(sources):

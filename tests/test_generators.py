@@ -3,7 +3,7 @@ import pytest
 from orientkit.errors import BadParamsError, NotBipartiteError
 from orientkit.exact import is_q3
 from orientkit.generators import (
-    FamilySpec,
+    FAMILIES,
     complete_bipartite,
     cycle,
     generate,
@@ -84,15 +84,27 @@ def test_generation_is_deterministic():
 
 
 def test_dispatch():
-    assert generate(FamilySpec("q3")).n == 8
-    assert generate(FamilySpec("pdw", (4,))).n == 10
-    assert generate(FamilySpec("complete_bipartite", (2, 2))).m == 4
+    assert generate("q3").n == 8
+    assert generate("pdw", (4,)).n == 10
+    assert generate("kbip", (2, 2)).m == 4
+    assert generate("t4", (0,)) == theorem4(0)
     with pytest.raises(BadParamsError):
-        generate(FamilySpec("pdw"))
+        generate("pdw")
     with pytest.raises(BadParamsError):
-        generate(FamilySpec("frucht", ()))
+        generate("frucht", ())
     with pytest.raises(BadParamsError):
-        generate(FamilySpec("pdw", (2,)))
+        generate("pdw", (2,))
+
+
+def test_families_are_the_documented_names():
+    assert list(FAMILIES) == ["q3", "pdw", "t4", "kbip", "path", "cycle", "star"]
+    # the arity error names the constructor, as gen has always printed it
+    with pytest.raises(BadParamsError, match=r"^theorem4 takes 1 parameter\(s\), got 2$"):
+        generate("t4", (1, 2))
+    # only the documented names: the constructors' own names are not families
+    for long_name in ("theorem4", "complete_bipartite"):
+        with pytest.raises(BadParamsError, match="unknown family"):
+            generate(long_name, (2, 2))
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from conftest import (
 )
 from orientkit.density import mad_exact
 from orientkit.errors import (
+    BadParamsError,
     MinDegreeTooSmallError,
     PreconditionDegreeError,
     PreconditionFailedError,
@@ -178,6 +179,19 @@ def test_switching_mad_precondition():
     vs = set(exc.value.witness)
     inside = sum(1 for u, v in g.edges if u in vs and v in vs)
     assert inside > len(vs)
+
+
+def test_switching_refuses_an_unknown_class():
+    # a class no vertex is in would switch nothing and leave 5 of q3's edges tied
+    g = q3()
+    with pytest.raises(BadParamsError, match="x_class"):
+        proper_bipartite_orientation(g, bipartition(g), "Z", 2)
+
+
+@pytest.mark.parametrize("other", [cycle(4), pdw(4)], ids=["smaller", "larger"])
+def test_switching_refuses_a_bipartition_of_another_size(other):
+    with pytest.raises(BadParamsError, match="sides for 8 vertices"):
+        proper_bipartite_orientation(q3(), bipartition(other), X, 2)
 
 
 def test_switching_only_flips_arcs_leaving_x():
