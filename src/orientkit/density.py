@@ -43,7 +43,6 @@ never passes ceil(Mad/2), where the loop must stop.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,13 +55,6 @@ from .orientation import Infeasible, _spread, k_orientation
 class DensityReport:
     mad: Fraction
     witness: tuple  # vertex subset achieving 2|E(H)|/|V(H)| = mad
-
-
-def subgraph_density(g, vertices):
-    """2|E(G[vertices])| / |vertices| as an exact Fraction."""
-    vs = set(vertices)
-    inside = sum(1 for u, v in g.edges if u in vs and v in vs)
-    return Fraction(2 * inside, len(vs))
 
 
 def mad_exact(g):
@@ -120,5 +112,6 @@ def pseudoarboricity(g):
         return 0
     k = -(-g.m // g.n)
     while isinstance(result := k_orientation(g, k), Infeasible):
-        k = math.ceil(subgraph_density(g, result.witness) / 2)
+        h = set(result.witness)
+        k = -(-sum(u in h and v in h for u, v in g.edges) // len(h))
     return k

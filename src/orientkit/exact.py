@@ -11,14 +11,14 @@ orientation the indegrees sum to m, and in a proper k-orientation
 indeg(w) <= cap(w) = min(k, deg w).  On an edge uv with cap(u) = cap(v) = c
 the two indegrees differ, so indeg(u) + indeg(v) <= 2c - 1.  Hence for any
 matching M of such equal-cap edges, m <= sum(cap) - |M|; when that fails no
-proper k-orientation exists.  M is built greedily in the search order,
-then grown by augmenting paths until it refutes k or no path is found
-(neither runs when even n/2 edges could not refute).  The augmenting search has
-no blossom step: M is a maximum matching on bipartite inputs and a valid
-one on any input, so every refutation is sound.  On pdw(m) at k = 2,
-sum(cap) = 4m + 4 is |E| + 4, so any |M| >= 5 refutes it; for m >= 8 every
-maximal matching is that large, in any labelling.  The check only discards
-inputs with no solution, so witnesses are unchanged.
+proper k-orientation exists.  M is grown from empty by augmenting paths
+until it refutes k or no path is found (the search does not run when even
+n/2 edges could not refute).  It has no blossom step: M is a maximum
+matching on bipartite inputs and a valid one on any input, so every
+refutation is sound.  On pdw(m) at k = 2, sum(cap) = 4m + 4 is |E| + 4, so
+any |M| >= 5 refutes it; for m >= 8 every maximal matching is that large,
+in any labelling.  The check only discards inputs with no solution, so
+witnesses are unchanged.
 """
 
 from __future__ import annotations
@@ -37,13 +37,13 @@ class ExactResult:
     witness: Orientation
 
 
-def _equal_cap_matching(g, ends, cap, enough):
+def _equal_cap_matching(g, cap, enough):
     """Disjoint edges uv with cap[u] == cap[v], as pairs (u, v) with u < v.
 
-    A greedy pass over ``ends`` in order comes first.  Then, from each free
-    vertex in id order, a depth-first search on an explicit stack looks for
-    an augmenting path and flips it.  Both stop as soon as the matching
-    holds ``enough`` pairs.
+    The matching starts empty.  From each free vertex in id order, a
+    depth-first search on an explicit stack looks for an augmenting path and
+    flips it (Kuhn).  It stops as soon as the matching holds ``enough``
+    pairs.
 
     The search has no blossom step, so an odd cycle can hide a path from
     it; but every path it flips has distinct vertices, so the result is
@@ -55,45 +55,38 @@ def _equal_cap_matching(g, ends, cap, enough):
     therefore stay marked until the next flip, and the searches between two
     flips read each edge at most twice.
     """
+    adjacency = g.adjacency
     mate = [-1] * g.n
+    seen = [-1] * g.n  # seen[w] == size: w was reached since the last flip
     size = 0
-    for u, v in ends:
-        if cap[u] == cap[v] and mate[u] < 0 and mate[v] < 0:
-            mate[u], mate[v] = v, u
-            size += 1
-            if size >= enough:
-                break
-    if size < enough:
-        adjacency = g.adjacency
-        seen = [-1] * g.n  # seen[w] == size: w was reached since the last flip
-        for root in range(g.n):
-            if mate[root] >= 0:
-                continue
-            c = cap[root]
-            seen[root] = size
-            # the outer vertices of the path from root, each with its
-            # unread neighbours; every one but root is the mate of the
-            # vertex that led to it
-            stack = [(root, iter(adjacency[root]))]
-            while stack:
-                for y, _ in stack[-1][1]:
-                    if cap[y] != c or seen[y] == size:
-                        continue
-                    seen[y] = size
-                    z = mate[y]
-                    if z < 0:  # flip the path root .. y
-                        for x, _ in reversed(stack):
-                            mate[x], mate[y], y = y, x, mate[x]
-                        stack = []
-                        size += 1
-                    else:
-                        seen[z] = size
-                        stack.append((z, iter(adjacency[z])))
-                    break
+    for root in range(g.n):
+        if size >= enough:
+            break
+        if mate[root] >= 0:
+            continue
+        c = cap[root]
+        seen[root] = size
+        # the outer vertices of the path from root, each with its unread
+        # neighbours; every one but root is the mate of the vertex that led
+        # to it
+        stack = [(root, iter(adjacency[root]))]
+        while stack:
+            for y, _ in stack[-1][1]:
+                if cap[y] != c or seen[y] == size:
+                    continue
+                seen[y] = size
+                z = mate[y]
+                if z < 0:  # flip the path root .. y
+                    for x, _ in reversed(stack):
+                        mate[x], mate[y], y = y, x, mate[x]
+                    stack = []
+                    size += 1
                 else:
-                    stack.pop()
-            if size >= enough:
+                    seen[z] = size
+                    stack.append((z, iter(adjacency[z])))
                 break
+            else:
+                stack.pop()
     return [(u, v) for u, v in enumerate(mate) if u < v]
 
 
@@ -103,15 +96,16 @@ def exists_proper_k(g, k):
         return None
     m = g.m
     deg = g.degrees()
-    order = sorted(range(m), key=lambda i: (-(deg[g.edges[i][0]] + deg[g.edges[i][1]]), i))
-    ends = [g.edges[i] for i in order]
 
     # the counting refutation of the module docstring; no matching has more
     # than n/2 edges, so with spare >= n/2 there is nothing to look for
     cap = [min(k, d) for d in deg]
     spare = sum(cap) - m
-    if spare < g.n // 2 and len(_equal_cap_matching(g, ends, cap, spare + 1)) > spare:
+    if spare < g.n // 2 and len(_equal_cap_matching(g, cap, spare + 1)) > spare:
         return None
+
+    order = sorted(range(m), key=lambda i: (-(deg[g.edges[i][0]] + deg[g.edges[i][1]]), i))
+    ends = [g.edges[i] for i in order]
 
     indeg = [0] * g.n
     undecided = deg[:]

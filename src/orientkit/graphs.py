@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import (
+    BadParamsError,
     DuplicateEdgeError,
     HeaderFormatError,
     NotBipartiteError,
@@ -49,6 +50,8 @@ class Graph:
     def __post_init__(self):
         # The one edge-list rule: ids in range, then no loop, then no repeat.
         n = self.n
+        if n < 0:
+            raise BadParamsError(f"n must be >= 0, got {n}")
         first = {}
         adj = [[] for _ in range(n)]
         for i, (u, v) in enumerate(self.edges):

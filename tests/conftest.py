@@ -15,14 +15,19 @@ from orientkit.generators import complete_bipartite, q3
 from orientkit.graphs import Graph
 
 
+def subset_density(g, vertices):
+    """2|E(H)|/|V(H)| for H = G[vertices], by counting the edges inside."""
+    vs = set(vertices)
+    inside = sum(1 for u, v in g.edges if u in vs and v in vs)
+    return Fraction(2 * inside, len(vs))
+
+
 def brute_force_mad(g):
     """Max of 2|E(H)|/|V(H)| over all nonempty vertex subsets."""
     best = Fraction(0)
     for size in range(1, g.n + 1):
         for subset in combinations(range(g.n), size):
-            vs = set(subset)
-            inside = sum(1 for u, v in g.edges if u in vs and v in vs)
-            best = max(best, Fraction(2 * inside, size))
+            best = max(best, subset_density(g, subset))
     return best
 
 
@@ -32,9 +37,7 @@ def brute_force_densest(g):
     best, largest = Fraction(0), ()
     for size in range(1, g.n + 1):
         for subset in combinations(range(g.n), size):
-            vs = set(subset)
-            inside = sum(1 for u, v in g.edges if u in vs and v in vs)
-            density = Fraction(2 * inside, size)
+            density = subset_density(g, subset)
             if density >= best:  # sizes ascend, so ties keep the largest
                 best, largest = density, subset
     return largest

@@ -5,9 +5,16 @@ from itertools import combinations
 
 import pytest
 
-from conftest import brute_force_densest, brute_force_mad, random_connected_graph, relabel, unicyclic
+from conftest import (
+    brute_force_densest,
+    brute_force_mad,
+    random_connected_graph,
+    relabel,
+    subset_density,
+    unicyclic,
+)
 from orientkit import density
-from orientkit.density import mad_exact, pseudoarboricity, subgraph_density
+from orientkit.density import mad_exact, pseudoarboricity
 from orientkit.errors import EmptyEdgeSetError
 from orientkit.generators import complete_bipartite, cycle, path, pdw, q3, star, theorem4
 from orientkit.graphs import Graph, parse_graph
@@ -47,7 +54,7 @@ def test_empty_edge_set():
 def test_matches_brute_force_families(g):
     report = mad_exact(g)
     assert report.mad == brute_force_mad(g)
-    assert subgraph_density(g, report.witness) == report.mad
+    assert subset_density(g, report.witness) == report.mad
 
 
 def test_matches_brute_force_random():
@@ -58,7 +65,7 @@ def test_matches_brute_force_random():
             continue
         report = mad_exact(g)
         assert report.mad == brute_force_mad(g)
-        assert subgraph_density(g, report.witness) == report.mad
+        assert subset_density(g, report.witness) == report.mad
         assert report.mad.denominator <= g.n
         assert tuple(sorted(report.witness)) == brute_force_densest(g)
 
@@ -207,7 +214,7 @@ def test_equal_density_blocks_give_their_union():
     report = mad_exact(g)
     assert report.mad == Fraction(4)
     assert len(report.witness) == 17
-    assert subgraph_density(g, report.witness) == 4
+    assert subset_density(g, report.witness) == 4
     assert sum(1 for u, v in g.edges if {u, v} <= set(report.witness)) == 34
 
 

@@ -369,7 +369,7 @@ def test_equal_cap_matching_is_maximum_on_bipartite_graphs():
         g = relabel(rng, random_bipartite_graph(rng, nx, ny, rng.randrange(1, min(ny, 3) + 1)))
         for k in range(1, 5):
             cap, equal = _equal_caps(g, k)
-            pairs = _equal_cap_matching(g, _search_order(g), cap, g.n)
+            pairs = _equal_cap_matching(g, cap, g.n)
             _assert_equal_cap_matching(g, cap, pairs)
             assert len(pairs) == brute_force_max_matching(equal), (g.edges, k)
 
@@ -382,31 +382,46 @@ def test_equal_cap_matching_is_a_matching_on_any_graph():
         g = relabel(rng, random_connected_graph(rng, rng.randrange(3, 10)))
         for k in range(1, 5):
             cap, equal = _equal_caps(g, k)
-            pairs = _equal_cap_matching(g, _search_order(g), cap, g.n)
+            pairs = _equal_cap_matching(g, cap, g.n)
             _assert_equal_cap_matching(g, cap, pairs)
             assert len(pairs) <= brute_force_max_matching(equal), (g.edges, k)
 
 
 def test_equal_cap_matching_needs_no_recursion():
-    # the path 0 - 1 - ... - 3999 with (1, 2), (3, 4), ... listed first: the
-    # greedy pass leaves 0 and 3999 free, and the one augmenting path joins
-    # them through all 4000 vertices, far past the recursion limit
+    # the path a - 0 - 1 - ... - 3997 - b with a = 3998 and b = 3999, its
+    # inner edges listed last first so that each inner vertex reads its
+    # higher neighbour first: from roots in id order the search matches
+    # (0, 1), (2, 3), ..., (3996, 3997) one edge at a time, and root a then
+    # meets one augmenting path through all 4000 vertices, far past the
+    # recursion limit
     n = 4000
-    edges = [(i, i + 1) for i in range(1, n - 1, 2)] + [(i, i + 1) for i in range(0, n, 2)]
-    g = Graph(n=n, edges=tuple(edges))
+    a, b = n - 2, n - 1
+    inner = tuple((i, i + 1) for i in reversed(range(n - 3)))
+    g = Graph(n=n, edges=inner + ((a, 0), (n - 3, b)))
+    inner_pairs = [(i, i + 1) for i in range(0, n - 2, 2)]
+    assert _equal_cap_matching(g, [1] * n, len(inner_pairs)) == inner_pairs
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(120)
     try:
-        pairs = _equal_cap_matching(g, g.edges, [1] * n, n // 2)
+        pairs = _equal_cap_matching(g, [1] * n, n // 2)
     finally:
         sys.setrecursionlimit(limit)
-    assert pairs == [(i, i + 1) for i in range(0, n, 2)]
+    assert pairs == [(0, a)] + [(i, i + 1) for i in range(1, n - 3, 2)] + [(n - 3, b)]
+
+
+def test_equal_cap_matching_stops_at_enough():
+    g = path(6)
+    for enough in (-1, 0):
+        assert _equal_cap_matching(g, [1] * g.n, enough) == []
+    assert len(_equal_cap_matching(g, [1] * g.n, 2)) == 2
+    assert len(_equal_cap_matching(g, [1] * g.n, 3)) == 3
 
 
 # Relabelled random bipartite, 8 vertices and 13 edges, no degree below 2:
 # at k = 2 every cap is 2, so a proper 2-orientation needs 13 <= 16 - |M|
-# for every matching M.  The greedy pass in search order stops at 3 edges,
-# which refutes nothing; a maximum matching has 4, which does.
+# for every matching M.  A greedy matching in search order stops at 3 edges,
+# which refutes nothing; a maximum matching has 4, which does.  So a greedy
+# matching alone is not enough.
 GREEDY_MISS = Graph(n=8, edges=(
     (2, 5), (3, 5), (5, 7), (0, 1), (6, 2), (2, 1), (4, 2), (3, 4), (1, 7), (4, 7),
     (7, 6), (0, 5), (6, 3)))
@@ -417,7 +432,7 @@ def test_maximum_matching_refutes_where_greedy_missed():
     cap, equal = _equal_caps(g, 2)
     assert sum(cap) - g.m == 3 and len(equal) == g.m
     used = set()
-    for u, v in _search_order(g):  # the greedy pass alone
+    for u, v in _search_order(g):  # a greedy matching in search order
         if not {u, v} & used:
             used |= {u, v}
     assert len(used) == 2 * 3

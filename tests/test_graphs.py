@@ -6,6 +6,7 @@ import pytest
 from conftest import _two_colouring, relabel
 from orientkit import graphs
 from orientkit.errors import (
+    BadParamsError,
     DuplicateEdgeError,
     HeaderFormatError,
     NotBipartiteError,
@@ -251,6 +252,18 @@ def test_a_negative_header_is_named_at_line_1():
         with pytest.raises(HeaderFormatError) as exc:
             parse_graph(text)
         assert str(exc.value) == "line 1: n and m must be nonnegative"
+
+
+def test_graph_rejects_a_negative_vertex_count():
+    # serialize_graph would write a header that parse_graph refuses; the
+    # count is checked before any edge, and it is no ParseError, which
+    # would need a line or an edge to name
+    for n, edges in ((-2, ()), (-1, ((0, 1),))):
+        with pytest.raises(BadParamsError) as exc:
+            Graph(n=n, edges=edges)
+        assert str(exc.value) == f"n must be >= 0, got {n}"
+        assert not isinstance(exc.value, ParseError)
+    assert serialize_graph(Graph(n=0, edges=())) == "0 0\n"
 
 
 def test_read_ints_digit_limit():
