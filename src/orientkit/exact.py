@@ -4,7 +4,8 @@ quadrangulation dichotomy decision (value 3, except 2 for the 3-cube).
 The search is complete backtracking over edge directions in a fixed order
 (descending endpoint-degree sum, ties by edge index).  Pruning: a vertex's
 indegree may never exceed k, and two adjacent fully decided vertices may
-not tie.  The first witness in this order is deterministic.
+not tie.  A vertex is fully decided once the search has placed its last
+edge in the order.  The first witness in this order is deterministic.
 
 Before it searches, a counting argument may refute k outright.  In any
 orientation the indegrees sum to m, and in a proper k-orientation
@@ -107,15 +108,18 @@ def exists_proper_k(g, k):
     order = sorted(range(m), key=lambda i: (-(deg[g.edges[i][0]] + deg[g.edges[i][1]]), i))
     ends = [g.edges[i] for i in order]
 
+    # last[w]: the position of w's last edge, the one that fully decides w
+    last = [0] * g.n
+    for pos, (u, v) in enumerate(ends):
+        last[u] = last[v] = pos
     indeg = [0] * g.n
-    undecided = deg[:]
 
-    def conflicts(w):
-        # w just became fully decided; ties with decided neighbors are final.
-        # Only the new arc's head gained indegree, and it is checked against
-        # k before this runs.
+    def conflicts(w, pos):
+        # w was just fully decided by the edge at pos; ties with decided
+        # neighbors are final.  Only the new arc's head gained indegree, and
+        # it is checked against k before this runs.
         for z, _ in g.adjacency[w]:
-            if undecided[z] == 0 and indeg[z] == indeg[w]:
+            if last[z] <= pos and indeg[z] == indeg[w]:
                 return True
         return False
 
@@ -128,17 +132,13 @@ def exists_proper_k(g, k):
         u, v = ends[pos]
         head = u if bit else v
         indeg[head] += 1
-        undecided[u] -= 1
-        undecided[v] -= 1
         if (indeg[head] <= k
-                and not (undecided[u] == 0 and conflicts(u))
-                and not (undecided[v] == 0 and conflicts(v))):
+                and not (last[u] == pos and conflicts(u, pos))
+                and not (last[v] == pos and conflicts(v, pos))):
             bits[pos] = bit
             pos, bit = pos + 1, 0
             continue
         indeg[head] -= 1
-        undecided[u] += 1
-        undecided[v] += 1
         while bit:  # both bits failed: back up to a position still on its first bit
             pos -= 1
             if pos < 0:
@@ -146,8 +146,6 @@ def exists_proper_k(g, k):
             u, v = ends[pos]
             bit = bits[pos]
             indeg[u if bit else v] -= 1
-            undecided[u] += 1
-            undecided[v] += 1
         bit = 1
     direction = [False] * m
     for p, i in enumerate(order):
@@ -200,27 +198,32 @@ def _is_bipartite(g):
 
 def quadrangulation_number(g):
     """Proper orientation number of a bipartite graph with min degree >= 3,
-    |E| = 2n-4 and a 2-orientation: 2 when G is the 3-cube, 3 otherwise.
-    Every quadrangulation with min degree >= 3 is such a graph, but the
-    planar flag is never read, and G need not be connected: no step below
-    uses connectivity.
+    |E| = 2n-4 and a 2-orientation: 2 when G has a proper 2-orientation, 3
+    otherwise.  Every quadrangulation with min degree >= 3 is such a graph,
+    but the planar flag is never read, and G need not be connected: no step
+    below uses connectivity.
 
     Upper side: past the edge count, ``proper_three_orientation`` is the one
     gate.  It checks bipartite, min degree >= 3 and the 2-orientation, and
     the proper 3-orientation it builds witnesses value <= 3.
 
-    Lower side, with no planarity: every cap is min(2, deg) = 2, so by the
-    counting of the module docstring a proper 2-orientation needs
-    m = 2n-4 <= 2n - nu, where nu is the size of a largest matching; that is
-    nu <= 4.  By Koenig's theorem some vertex cover C then has |C| = nu <= 4.
-    The other n-4 or more vertices are independent and each sends at least
-    3 edges into C, so 3(n-4) <= m = 2n-4, which gives n <= 8.  Since
-    3n/2 <= m also forces n >= 8, G is a cubic bipartite graph on 8
-    vertices (connected, since a cubic bipartite component has at least 6
-    vertices): the cube, whose value is 2.  Every other G has nu >= 5 and no
-    proper 2-orientation, so its value is 3.
+    Lower side: ``exists_proper_k(g, 2)`` decides k = 2.  The counting and
+    Koenig's theorem bound where its search runs, with no planarity.  Every
+    cap is min(2, deg) = 2, so by the counting of the module docstring a
+    proper 2-orientation needs m = 2n-4 <= 2n - nu, where nu is the size of
+    a largest matching; that is nu <= 4.  By Koenig's theorem some vertex
+    cover C then has |C| = nu <= 4.  The other n-4 or more vertices are
+    independent and each sends at least 3 edges into C, so
+    3(n-4) <= m = 2n-4, which gives n <= 8.  Since 3n/2 <= m also forces
+    n >= 8, G is a cubic bipartite graph on 8 vertices (connected, since a
+    cubic bipartite component has at least 6 vertices): the cube.  Every
+    other G has n >= 10 (at n = 9 each class would hold at most m/3 = 14/3
+    vertices), so the spare sum(cap) - m = 4 is below n // 2 and the
+    equal-cap matching runs; G is bipartite, so it reaches 5 pairs and
+    refutes k = 2 without search.  On the cube the search finds a proper
+    2-orientation.
     """
     if g.m != 2 * g.n - 4:
         raise PreconditionFailedError("|E| = 2n-4 (quadrangulation)")
     proper_three_orientation(g)
-    return 2 if is_q3(g) else 3
+    return 3 if exists_proper_k(g, 2) is None else 2

@@ -140,6 +140,20 @@ def random_bipartite_graph(rng, nx, ny, degree_x):
     return Graph(n=nx + ny, edges=tuple(edges))
 
 
+def component_count(g):
+    """The number of connected components, by union-find over g.edges."""
+    parent = list(range(g.n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in g.edges:
+        parent[root(u)] = root(v)
+    return sum(parent[v] == v for v in range(g.n))
+
+
 def _two_colouring(g):
     """side[v] in {0, 1}, 0 on the smallest vertex of each component."""
     side = [None] * g.n

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import time
@@ -8,6 +9,7 @@ import pytest
 from conftest import (
     brute_force_exists_proper_k,
     brute_force_max_matching,
+    component_count,
     flagged_graph_with_no_2_orientation,
     random_bipartite_graph,
     random_connected_graph,
@@ -28,8 +30,9 @@ from orientkit.exact import (
     quadrangulation_number,
 )
 from orientkit.generators import complete_bipartite, cycle, path, pdw, q3, star
-from orientkit.graphs import Graph, connected_components, parse_graph
+from orientkit.graphs import Graph, parse_graph
 from orientkit.orientation import verify_orientation
+from orientkit.t4proof import shrunken_instance
 
 
 def test_path3_k1():
@@ -52,6 +55,48 @@ def test_witness_is_deterministic():
     a = exists_proper_k(pdw(4), 3)
     b = exists_proper_k(pdw(4), 3)
     assert a.direction == b.direction
+
+
+def _pdw_calls():
+    return [(pdw(m), k) for m in range(4, 21) for k in (2, 3)]
+
+
+def _random_calls():
+    rng = random.Random(47)
+    calls = []
+    for _ in range(40):
+        g = relabel(rng, random_connected_graph(rng, rng.randrange(4, 12)))
+        calls += [(g, k) for k in range(1, 5)]
+    for _ in range(40):
+        nx, ny = rng.randrange(2, 7), rng.randrange(2, 7)
+        g = relabel(rng, random_bipartite_graph(rng, nx, ny, rng.randrange(1, min(ny, 3) + 1)))
+        calls += [(g, k) for k in range(1, 5)]
+    return calls
+
+
+def _shrunken_calls():
+    return [(shrunken_instance(), k) for k in (1, 3)]
+
+
+def _relabelled_pdw_calls():
+    return [(relabel(random.Random(seed), pdw(12)), 3) for seed in range(1, 5)]
+
+
+@pytest.mark.parametrize("calls, digest", [
+    (_pdw_calls, "be6f5f5380ba1e1c72fc696c6ca601769f262c1998e7bbea01b4d5d71fab502c"),
+    (_random_calls, "fcb8d2438e9f1b171892df4c7eaa04f7c2aaa6feb6089268c90e3179e7fd733a"),
+    (_shrunken_calls, "0f7bffadc0caede719478e288356bbada4382882080136b417cda06be3e55b02"),
+    (_relabelled_pdw_calls, "77eb5ff6bb9467e3f9b04e6f62b10d195cb5fe684f5d61ff12555664cf080b72"),
+], ids=["pdw", "random", "shrunken", "relabelled-pdw12"])
+def test_witnesses_are_pinned(calls, digest):
+    # the sha256 of every direction tuple the search returns, None included,
+    # in call order: a change to the order, the pruning or the refutation
+    # that moves any first witness changes it
+    h = hashlib.sha256()
+    for g, k in calls():
+        sigma = exists_proper_k(g, k)
+        h.update(repr(None if sigma is None else sigma.direction).encode())
+    assert h.hexdigest() == digest
 
 
 def test_monotone_in_k():
@@ -210,7 +255,13 @@ def test_is_q3_on_every_labelled_cubic_graph():
 
 
 def test_quadrangulation_number_q3():
-    assert quadrangulation_number(q3()) == 2
+    # the one gated input on which quad's search runs: in any labelling it
+    # finds a proper 2-orientation
+    rng = random.Random(49)
+    for g in [q3()] + [relabel(rng, q3()) for _ in range(8)]:
+        report = verify_orientation(g, exists_proper_k(g, 2))
+        assert report.proper and report.max_indegree == 2
+        assert quadrangulation_number(g) == 2
 
 
 @pytest.mark.parametrize("m", [4, 5])
@@ -251,7 +302,7 @@ def random_unflagged_graph_on_the_edge_bound(rng, nx, ny):
         spare = [(x, y) for x in range(nx) for y in range(nx, nx + ny) if (x, y) not in edges]
         edges.update(rng.sample(spare, target - len(edges)))
         g = relabel(rng, Graph(n=nx + ny, edges=tuple(sorted(edges))))
-        if min(g.degrees()) >= 3 and len(connected_components(g)) == 1:
+        if min(g.degrees()) >= 3 and component_count(g) == 1:
             return g
 
 
@@ -274,19 +325,37 @@ def disjoint_union(*graphs):
     return Graph(n=n, edges=tuple(edges))
 
 
-@pytest.mark.parametrize("parts", [
+UNIONS = [
     (complete_bipartite(3, 4), complete_bipartite(3, 4)),
     (q3(), complete_bipartite(4, 4)),
-], ids=["2xK34", "cube+K44"])
+]
+
+
+@pytest.mark.parametrize("parts", UNIONS, ids=["2xK34", "cube+K44"])
 def test_quadrangulation_number_of_a_disconnected_graph(parts):
     # no step of the proof uses connectivity, so a disconnected graph that
     # passes the other gates gets its value: the largest component value,
     # found here by brute force
     g = disjoint_union(*parts)
-    assert g.m == 2 * g.n - 4 and len(connected_components(g)) == 2
+    assert g.m == 2 * g.n - 4 and component_count(g) == 2
     expected = max(next(k for k in range(5) if brute_force_exists_proper_k(h, k))
                    for h in parts)
     assert quadrangulation_number(g) == expected == 3
+
+
+def test_quadrangulation_number_refutes_off_the_cube_without_search():
+    # each input has |E| = 2n-4 and min degree 3 but is not the cube, so
+    # n >= 10: the spare sum(cap) - m = 4 at k = 2 is below n // 2, and five
+    # equal-cap pairs refute k = 2 before exists_proper_k sorts its order
+    rng = random.Random(48)
+    graphs = [relabel(rng, pdw(m)) for m in range(4, 41)]
+    for nx, ny in [(5, 5), (5, 6), (6, 6), (6, 7)]:
+        graphs += [random_unflagged_graph_on_the_edge_bound(rng, nx, ny) for _ in range(6)]
+    graphs += [disjoint_union(*parts) for parts in UNIONS]
+    for g in graphs:
+        assert g.m == 2 * g.n - 4 and min(g.degrees()) >= 3 and g.n // 2 > 4
+        assert len(_equal_cap_matching(g, [2] * g.n, 5)) == 5, g.edges
+        assert exists_proper_k(g, 2) is None
 
 
 def test_number_edgeless_is_zero():

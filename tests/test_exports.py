@@ -29,15 +29,16 @@ PACKAGE = Path(orientkit.__file__).resolve().parent
 ROOTS = ("main", "run", "build_parser")
 
 # Public definitions ("module.name") that no command reaches, each with the
-# reason it stays.  ROADMAP item 9 deletes the last two once the benchmark
+# reason it stays.  ROADMAP item 9 deletes the last three once the benchmark
 # hooks move (item 1).
 UNREACHED = {
     "cnf.dpll": "bench/workloads.py runs it as the dpll job, and CI solves "
                 "a cnf document with it before decode",
     "flow.Dinic": "bench/tracing.py hooks Dinic.max_flow and "
                   "Dinic.min_cut_source_side, and bench/selftest.py pins them",
-    "graphs.connected_components": "bench/tracing.py hooks it; tests use it "
-                                   "to pick connected and disconnected inputs",
+    "graphs.connected_components": "bench/tracing.py hooks it",
+    "exact.is_q3": "bench/tracing.py hooks it, and bench/selftest.py "
+                   "requires its exact.is_q3 metrics",
 }
 
 
