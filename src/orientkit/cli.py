@@ -25,6 +25,7 @@ from .errors import (
     BadParamsError,
     OrientKitError,
     ParseError,
+    PreconditionMadError,
     SelfLoopError,
     VertexRangeError,
 )
@@ -95,8 +96,7 @@ def _cmd_orient(args):
 
     result = k_orientation(_read_graph(args), args.k)
     if isinstance(result, Infeasible):
-        witness = " ".join(str(v) for v in result.witness)
-        raise OrientKitError(f"no {args.k}-orientation (dense subset: {witness})")
+        raise PreconditionMadError(args.k, result.witness)
     return _arcs_text(result)
 
 

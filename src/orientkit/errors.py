@@ -62,13 +62,15 @@ class PreconditionDegreeError(OrientKitError):
 
 
 class PreconditionMadError(OrientKitError):
-    """No k-orientation exists; carries the dense-subgraph witness."""
+    """No k-orientation exists; carries the dense-subgraph witness H, with
+    |E(G[H])| > k|H|, and names its vertices."""
 
     def __init__(self, k, witness):
         self.k = k
         self.witness = list(witness)
+        ids = " ".join(map(str, self.witness))
         super().__init__(
-            f"no {k}-orientation exists (dense subset of {len(self.witness)} vertices)"
+            f"no {k}-orientation exists (dense subset of {len(self.witness)} vertices: {ids})"
         )
 
 

@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .density import pseudoarboricity
-from .errors import BadParamsError, ExceedsCapError, NotBipartiteError, PreconditionFailedError
-from .graphs import bipartition, min_degree
+from .errors import BadParamsError, ExceedsCapError, PreconditionFailedError
+from .graphs import _bfs_forest, min_degree
 from .orientation import Orientation, proper_three_orientation
 
 
@@ -170,7 +170,8 @@ def proper_orientation_number(g, k_max):
         raise BadParamsError(f"k_max must be >= 0, got {k_max}")
     lower = pseudoarboricity(g)
     for k in range(lower, k_max + 1):
-        if k == 3 and lower <= 2 and min_degree(g) >= 3 and _is_bipartite(g):
+        # bipartite by bipartition's rule: no edge joins two equal BFS depths
+        if k == 3 and lower <= 2 and min_degree(g) >= 3 and _bfs_forest(g)[3] is None:
             return ExactResult(value=3, witness=proper_three_orientation(g))
         witness = exists_proper_k(g, k)
         if witness is not None:
@@ -183,17 +184,10 @@ def is_q3(g):
 
     A 3-regular bipartite graph on 8 vertices has 12 edges, so each class
     has 12/3 = 4 vertices: it is K_{4,4} minus a perfect matching, and that
-    is the cube.
+    is the cube.  Bipartite is ``bipartition``'s rule: no edge joins two
+    equal BFS depths.
     """
-    return g.n == 8 and g.m == 12 and all(d == 3 for d in g.degrees()) and _is_bipartite(g)
-
-
-def _is_bipartite(g):
-    try:
-        bipartition(g)
-    except NotBipartiteError:
-        return False
-    return True
+    return g.n == 8 and g.m == 12 and g.degrees() == [3] * 8 and _bfs_forest(g)[3] is None
 
 
 def quadrangulation_number(g):

@@ -180,10 +180,9 @@ def proper_bipartite_orientation(g, part, x_class, k):
     lowest-index outgoing arcs until its indegree is exactly k+1; Y
     indegrees only drop, so the result is proper with max indegree k+1.
 
-    x_class must be X or Y and part must give a side to each vertex of g,
-    or BadParamsError.  That part is a proper 2-coloring of g is trusted,
-    not re-checked edge by edge: pass the Bipartition that ``bipartition(g)``
-    returns, which checks every edge.
+    x_class must be X or Y, and part must give a side to each vertex of g
+    and different sides to the two ends of each edge, or BadParamsError
+    names the first edge that fails.
     """
     if k < 1:
         raise BadParamsError(f"k must be >= 1, got {k}")
@@ -191,6 +190,10 @@ def proper_bipartite_orientation(g, part, x_class, k):
         raise BadParamsError(f"x_class must be {X!r} or {Y!r}, got {x_class!r}")
     if len(part.side) != g.n:
         raise BadParamsError(f"bipartition has {len(part.side)} sides for {g.n} vertices")
+    side = part.side
+    for i, (u, v) in enumerate(g.edges):
+        if side[u] == side[v]:
+            raise BadParamsError(f"edge {i} = ({u}, {v}) has both ends in class {side[u]}")
     x_vertices = part.vertices_in(x_class)
     for x in x_vertices:
         if g.degree(x) <= k:

@@ -90,9 +90,27 @@ def test_orient_feasible(capsys, monkeypatch):
 
 
 def test_orient_infeasible(capsys, monkeypatch):
-    feed(monkeypatch, serialize_graph(q3()))
-    assert run(["orient", "-k", "1"]) == 1
-    assert "no 1-orientation" in capsys.readouterr().err
+    # orient and proper name the same dense subset in the same words
+    err = "error: no 1-orientation exists (dense subset of 8 vertices: 0 1 2 3 4 5 6 7)\n"
+    for command in ("orient", "proper"):
+        feed(monkeypatch, serialize_graph(q3()))
+        assert run([command, "-k", "1"]) == 1
+        assert capsys.readouterr() == ("", err)
+
+
+def test_every_switching_command_names_the_same_dense_subset(tmp_path, capsys):
+    # all four ask k_orientation(g, 2) of a graph that passes every other gate
+    path = tmp_path / "g.txt"
+    path.write_text(serialize_graph(flagged_graph_with_no_2_orientation()))
+    errs = []
+    for argv in (["orient", "-k", "2"], ["proper", "-k", "2"], ["proper3"], ["quad"]):
+        assert run(argv + [str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errs.append(captured.err)
+    assert len(set(errs)) == 1
+    assert errs[0].startswith("error: no 2-orientation exists (dense subset of ")
+    assert len(errs[0].splitlines()) == 1
 
 
 def test_proper3_verify_pipeline(capsys, monkeypatch):
@@ -687,6 +705,20 @@ def test_gen_parameter_of_5000_digits(capsys):
     assert captured.err == "error: integer of 5000 digits, more than 4300\n"
 
 
+def assert_exit_contract(text, argv):
+    """run(argv) on text as stdin exits 0 with stderr empty, or 1 or 2 with
+    stdout empty and one stderr line."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    assert (code == 0) == (err.getvalue() == "")
+    if code != 0:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+
+
 def test_random_text_gives_an_exit_code():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -706,13 +738,50 @@ def test_random_text_gives_an_exit_code():
     @hypothesis.given(case=case)
     def check(case):
         text, command = case
-        out, err = io.StringIO(), io.StringIO()
-        with mock.patch("sys.stdin", io.StringIO(text)), \
-                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run([command])
-        assert code in (0, 1, 2)
-        assert (code == 0) == (err.getvalue() == "")
-        if code != 0:
-            assert out.getvalue() == ""
+        assert_exit_contract(text, [command])
+
+    check()
+
+
+GRAPH_COMMANDS = [
+    ["orient", "-k", "1"],
+    ["orient", "-k", "2"],
+    ["proper", "-k", "1"],
+    ["proper", "-k", "2"],
+    ["proper", "-k", "1", "--x-class", "1"],
+    ["proper", "-k", "2", "--x-class", "1"],
+    ["proper3"],
+    ["exact", "--kmax", "3"],
+    ["quad"],
+    ["cnf", "-k", "2"],
+]
+
+
+def test_random_graphs_give_an_exit_code():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # small ids only: a huge header still allocates before it is checked.
+    # Ids run from -1 to n, repeats are drawn, m is off by at most one and
+    # some texts are tab-separated; a clean case keeps only the valid edges
+    # and the true m, so the commands past parsing run too.
+    def graph(n):
+        ids = st.integers(-1, n)
+        return st.tuples(st.just(n), st.booleans(), st.lists(st.tuples(ids, ids), max_size=15),
+                         st.sampled_from([-1, 0, 1]), st.booleans(), st.booleans())
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(case=st.integers(0, 8).flatmap(graph),
+                      argv=st.sampled_from(GRAPH_COMMANDS))
+    def check(case, argv):
+        n, planar, edges, off, tabs, clean = case
+        if clean:
+            kept = {}
+            for u, v in edges:
+                if 0 <= u < n and 0 <= v < n and u != v:
+                    kept.setdefault(frozenset((u, v)), (u, v))
+            edges, off = list(kept.values()), 0
+        header = f"{n} {len(edges) + off}" + (" planar" if planar else "")
+        text = "".join(f"{line}\n" for line in [header] + [f"{u} {v}" for u, v in edges])
+        assert_exit_contract(text.replace(" ", "\t") if tabs else text, argv)
 
     check()

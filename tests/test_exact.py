@@ -19,6 +19,7 @@ from orientkit.density import pseudoarboricity
 from orientkit.errors import (
     BadParamsError,
     ExceedsCapError,
+    NotBipartiteError,
     PreconditionFailedError,
     PreconditionMadError,
 )
@@ -30,7 +31,7 @@ from orientkit.exact import (
     quadrangulation_number,
 )
 from orientkit.generators import complete_bipartite, cycle, path, pdw, q3, star
-from orientkit.graphs import Graph, parse_graph
+from orientkit.graphs import Graph, _bfs_forest, bipartition, parse_graph
 from orientkit.orientation import verify_orientation
 from orientkit.t4proof import shrunken_instance
 
@@ -97,6 +98,49 @@ def test_witnesses_are_pinned(calls, digest):
         sigma = exists_proper_k(g, k)
         h.update(repr(None if sigma is None else sigma.direction).encode())
     assert h.hexdigest() == digest
+
+
+def _number_graphs():
+    """Relabelled pdw(3..40), then relabelled random connected and bipartite
+    graphs."""
+    rng = random.Random(53)
+    graphs = [relabel(rng, pdw(m)) for m in range(3, 41)]
+    for _ in range(60):
+        graphs.append(relabel(rng, random_connected_graph(rng, rng.randrange(4, 12))))
+    for _ in range(60):
+        nx, ny = rng.randrange(2, 7), rng.randrange(2, 7)
+        g = random_bipartite_graph(rng, nx, ny, rng.randrange(1, min(ny, 4) + 1))
+        graphs.append(relabel(rng, g))
+    return graphs
+
+
+def test_bipartite_rule_is_bipartitions():
+    # the switching bound and is_q3 read "no edge joins two equal BFS
+    # depths"; bipartition raises exactly when that fails
+    verdicts = set()
+    for g in _number_graphs():
+        try:
+            bipartition(g)
+            bipartite = True
+        except NotBipartiteError:
+            bipartite = False
+        assert (_bfs_forest(g)[3] is None) == bipartite, g.edges
+        verdicts.add(bipartite)
+    assert verdicts == {True, False}
+
+
+def test_numbers_are_pinned():
+    # the sha256 of every value and witness direction tuple, or the cap
+    # error, in graph order; taken before the switching bound read the BFS
+    # forest in place of bipartition
+    h = hashlib.sha256()
+    for g in _number_graphs():
+        try:
+            result = proper_orientation_number(g, 4)
+            h.update(repr((result.value, result.witness.direction)).encode())
+        except ExceedsCapError:
+            h.update(b"exceeds")
+    assert h.hexdigest() == "8aee7a0acd515626eb21143417a3b8350a083731197a92ee8182abf7ca92c4fb"
 
 
 def test_monotone_in_k():
@@ -196,6 +240,22 @@ def test_switching_bound_needs_a_2_orientation():
     assert pseudoarboricity(g) == 3
     with pytest.raises(ExceedsCapError):
         proper_orientation_number(g, 3)
+
+
+@pytest.mark.parametrize("edges", [
+    ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
+    ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)),
+    tuple((i, (i + 1) % 8) for i in range(8)) + tuple((i, i + 4) for i in range(4)),
+], ids=["k4", "prism", "wagner"])
+def test_switching_bound_needs_a_bipartite_graph(edges):
+    # min degree 3 and pseudoarboricity 2, but an odd cycle: the scan reaches
+    # k = 3 and must search, since switching would refuse these graphs
+    g = relabel(random.Random(len(edges)), Graph(n=1 + max(map(max, edges)), edges=edges))
+    assert pseudoarboricity(g) == 2 and min(g.degrees()) == 3
+    result = proper_orientation_number(g, 4)
+    assert result.value == 3 and not brute_force_exists_proper_k(g, 2)
+    report = verify_orientation(g, result.witness)
+    assert report.proper and report.max_indegree <= 3
 
 
 def test_is_q3():

@@ -23,8 +23,8 @@ from orientkit.errors import (
     PreconditionMadError,
     SizeMismatchError,
 )
-from orientkit.generators import complete_bipartite, cycle, pdw, q3, star, theorem4
-from orientkit.graphs import Graph, X, Y, bipartition, parse_graph
+from orientkit.generators import complete_bipartite, cycle, path, pdw, q3, star, theorem4
+from orientkit.graphs import Bipartition, Graph, X, Y, bipartition, parse_graph
 from orientkit.orientation import (
     Infeasible,
     Orientation,
@@ -192,6 +192,28 @@ def test_switching_refuses_an_unknown_class():
 def test_switching_refuses_a_bipartition_of_another_size(other):
     with pytest.raises(BadParamsError, match="sides for 8 vertices"):
         proper_bipartite_orientation(q3(), bipartition(other), X, 2)
+
+
+def test_switching_refuses_a_bipartition_of_another_graph():
+    # path(8)'s classes alternate along 0..7, so q3's edge 1 = (0, 2) joins
+    # two X vertices; unchecked, the switching left edges 0, 3, 4, 7, 10 tied
+    with pytest.raises(BadParamsError, match=r"^edge 1 = \(0, 2\) has both ends in class X$"):
+        proper_bipartite_orientation(q3(), bipartition(path(8)), X, 2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_switching_refuses_a_side_flipped(seed):
+    # flipping w's side breaks exactly w's edges; the first of them is named
+    rng = random.Random(seed)
+    g = relabel(rng, pdw(6))
+    side = list(bipartition(g).side)
+    w = rng.randrange(g.n)
+    side[w] = Y if side[w] == X else X
+    i = next(i for i, e in enumerate(g.edges) if w in e)
+    u, v = g.edges[i]
+    message = rf"^edge {i} = \({u}, {v}\) has both ends in class {side[w]}$"
+    with pytest.raises(BadParamsError, match=message):
+        proper_bipartite_orientation(g, Bipartition(side=tuple(side)), X, 2)
 
 
 def test_switching_only_flips_arcs_leaving_x():
