@@ -180,9 +180,10 @@ def proper_bipartite_orientation(g, part, x_class, k):
     lowest-index outgoing arcs until its indegree is exactly k+1; Y
     indegrees only drop, so the result is proper with max indegree k+1.
 
-    x_class must be X or Y, and part must give a side to each vertex of g
-    and different sides to the two ends of each edge, or BadParamsError
-    names the first edge that fails.
+    x_class must be X or Y, and part must give each vertex of g a side
+    that is X or Y, and different sides to the two ends of each edge, or
+    BadParamsError names the first vertex or edge that fails.  Then
+    ``_switch`` runs the construction.
     """
     if k < 1:
         raise BadParamsError(f"k must be >= 1, got {k}")
@@ -191,10 +192,22 @@ def proper_bipartite_orientation(g, part, x_class, k):
     if len(part.side) != g.n:
         raise BadParamsError(f"bipartition has {len(part.side)} sides for {g.n} vertices")
     side = part.side
+    for v, s in enumerate(side):
+        if s not in (X, Y):
+            raise BadParamsError(f"vertex {v} has class {s!r}, not {X!r} or {Y!r}")
     for i, (u, v) in enumerate(g.edges):
         if side[u] == side[v]:
             raise BadParamsError(f"edge {i} = ({u}, {v}) has both ends in class {side[u]}")
-    x_vertices = part.vertices_in(x_class)
+    return _switch(g, part.vertices_in(x_class), k)
+
+
+def _switch(g, x_vertices, k):
+    """The switching construction with X = x_vertices.
+
+    The caller vouches that no edge joins two vertices of x_vertices; that
+    is not checked here.  Raises PreconditionDegreeError for the first x of
+    degree <= k, and PreconditionMadError when g has no k-orientation.
+    """
     for x in x_vertices:
         if g.degree(x) <= k:
             raise PreconditionDegreeError(x, g.degree(x), k)
@@ -230,12 +243,13 @@ def proper_three_orientation(g):
     read, and the engine either finds the 2-orientation or
     ``PreconditionMadError`` carries a subset H with |E(H)| > 2|H|.  Uses the
     class of vertex 0 as X; either class works since every degree is
-    >= 3 = k+1 for k = 2.
+    >= 3 = k+1 for k = 2.  The classes come from ``bipartition``'s one BFS,
+    so they go to ``_switch`` without a second check.
     """
     part = bipartition(g)
     if (low := min_degree(g)) < 3:
         raise MinDegreeTooSmallError(low)
-    return proper_bipartite_orientation(g, part, X, 2)
+    return _switch(g, part.vertices_in(X), 2)
 
 
 def verify_orientation(g, sigma):

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from orientkit.generators import complete_bipartite, q3
+from orientkit.generators import complete_bipartite, pdw, q3
 from orientkit.graphs import Graph
 
 
@@ -194,3 +194,21 @@ def flagged_graph_with_no_2_orientation():
         cross += [(x, y2), (x2, y)]
     edges = tuple(e for part in own for e in part) + tuple(cross)
     return Graph(n=offset, edges=edges, planar_asserted=True)
+
+
+def switching_graphs():
+    """Bipartite graphs with min degree >= 3, with and without a
+    2-orientation: relabelled pdw(4..40), q3, K(3,3), K(4,4), the flagged
+    graph with no 2-orientation and 24 relabelled random bipartite graphs."""
+    rng = random.Random(30)
+    graphs = [relabel(rng, pdw(n)) for n in range(4, 41)]
+    graphs += [q3(), complete_bipartite(3, 3), complete_bipartite(4, 4),
+               flagged_graph_with_no_2_orientation()]
+    drawn = 0
+    while drawn < 24:
+        nx = rng.randint(4, 9)
+        g = random_bipartite_graph(rng, nx, nx, rng.randint(4, min(nx, 6)))
+        if min(g.degrees()) >= 3:
+            graphs.append(relabel(rng, g))
+            drawn += 1
+    return graphs

@@ -10,7 +10,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import flagged_graph_with_no_2_orientation, relabel
+from conftest import flagged_graph_with_no_2_orientation, relabel, switching_graphs
 from orientkit.cli import build_parser, main, run
 from orientkit.graphs import parse_graph
 from orientkit.generators import FAMILIES, complete_bipartite, q3, cycle, pdw
@@ -111,6 +111,17 @@ def test_every_switching_command_names_the_same_dense_subset(tmp_path, capsys):
     assert len(set(errs)) == 1
     assert errs[0].startswith("error: no 2-orientation exists (dense subset of ")
     assert len(errs[0].splitlines()) == 1
+
+
+def test_proper3_prints_what_proper_k_2_prints(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    for g in switching_graphs():
+        path.write_text(serialize_graph(g))
+        results = []
+        for argv in (["proper3"], ["proper", "-k", "2"]):
+            code = run(argv + [str(path)])
+            results.append((code, *capsys.readouterr()))
+        assert results[0] == results[1]
 
 
 def test_proper3_verify_pipeline(capsys, monkeypatch):

@@ -5,6 +5,8 @@ from itertools import combinations
 
 import pytest
 
+import orientkit.graphs as graphs_module
+import orientkit.orientation as orientation_module
 from conftest import (
     brute_force_k_witness,
     brute_force_mad,
@@ -12,12 +14,15 @@ from conftest import (
     grid,
     random_connected_graph,
     relabel,
+    switching_graphs,
     unicyclic,
 )
 from orientkit.density import mad_exact
 from orientkit.errors import (
     BadParamsError,
     MinDegreeTooSmallError,
+    NotBipartiteError,
+    OrientKitError,
     PreconditionDegreeError,
     PreconditionFailedError,
     PreconditionMadError,
@@ -214,6 +219,71 @@ def test_switching_refuses_a_side_flipped(seed):
     message = rf"^edge {i} = \({u}, {v}\) has both ends in class {side[w]}$"
     with pytest.raises(BadParamsError, match=message):
         proper_bipartite_orientation(g, Bipartition(side=tuple(side)), X, 2)
+
+
+@pytest.mark.parametrize("relabel_side, message", [
+    (lambda v, s: 0 if s == X else 1, "vertex 0 has class 0"),
+    (lambda v, s: s.lower(), "vertex 0 has class 'x'"),
+    (lambda v, s: s.lower() if v == 4 else s, "vertex 4 has class 'y'"),
+], ids=["0/1", "lower-case", "one-vertex"])
+def test_switching_refuses_a_class_other_than_x_or_y(relabel_side, message):
+    # q3's classes are X Y Y X Y X X Y; unchecked, the 0/1 classes switched
+    # no vertex (none is in class X) and left edges 3, 4, 7, 10, 11 tied
+    g = q3()
+    side = tuple(relabel_side(v, s) for v, s in enumerate(bipartition(g).side))
+    with pytest.raises(BadParamsError, match=rf"^{message}, not 'X' or 'Y'$"):
+        proper_bipartite_orientation(g, Bipartition(side=side), X, 2)
+
+
+def _outcome(switch, g):
+    """The direction tuple switch(g) returns, or the type and text of its error."""
+    try:
+        return switch(g).direction
+    except OrientKitError as exc:
+        return type(exc), str(exc)
+
+
+def test_proper3_is_switching_on_class_x_at_k_2():
+    outcomes = []
+    for g in switching_graphs():
+        outcome = _outcome(proper_three_orientation, g)
+        assert outcome == _outcome(
+            lambda h: proper_bipartite_orientation(h, bipartition(h), X, 2), g)
+        outcomes.append(outcome[0] is PreconditionMadError)
+    assert 0 < sum(outcomes) < len(outcomes)  # both outcomes are compared
+
+
+def _spy(monkeypatch, module, name):
+    """The list of calls to module.name, which still does its work."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("make, switch, error, engine_calls", [
+    (lambda: cycle(3), proper_three_orientation, NotBipartiteError, 0),
+    (lambda: cycle(4), proper_three_orientation, MinDegreeTooSmallError, 0),
+    (lambda: star(3), lambda g: proper_bipartite_orientation(g, bipartition(g), Y, 2),
+     PreconditionDegreeError, 0),
+    (lambda: pdw(20), proper_three_orientation, None, 1),
+    (flagged_graph_with_no_2_orientation, proper_three_orientation, PreconditionMadError, 1),
+], ids=["odd-cycle", "min-degree", "class-degree", "pdw20", "no-2-orientation"])
+def test_gates_run_before_the_engine(make, switch, error, engine_calls, monkeypatch):
+    g = make()
+    engine = _spy(monkeypatch, orientation_module, "k_orientation")
+    bfs = _spy(monkeypatch, graphs_module, "_bfs_forest")
+    if error is None:
+        assert verify_orientation(g, switch(g)).proper
+    else:
+        with pytest.raises(error):
+            switch(g)
+    assert len(engine) == engine_calls
+    assert len(bfs) == 1  # bipartition's, the only bipartite test on the way
 
 
 def test_switching_only_flips_arcs_leaving_x():
