@@ -35,10 +35,13 @@ final load on G[U].
 
 Pseudoarboricity runs the same loop over the integers.  A k-orientation
 exists iff no subgraph has |E(H)| > k|H| (Hakimi), so the least such k is
-ceil(Mad/2).  Start at k = ceil(m/n); while ``k_orientation`` returns a
-witness H, set k = ceil(|E(H)|/|H|).  Since |E(H)| > k|H| every step
-strictly raises k, and since m/n and every |E(H)|/|H| are at most Mad/2, k
-never passes ceil(Mad/2), where the loop must stop.
+ceil(Mad/2).  Start at k = ceil(m/n) (0 on an edgeless graph); while
+``k_orientation`` returns a witness H, set k = ceil(|E(H)|/|H|).  Since
+|E(H)| > k|H| every step strictly raises k, and since m/n and every
+|E(H)|/|H| are at most Mad/2, k never passes ceil(Mad/2), where the loop
+must stop.  ``_least_orientation`` also returns the k-orientation that
+stopped it, so a caller that needs both (the exact scan's switching bound)
+runs the loop once.
 """
 
 from __future__ import annotations
@@ -108,10 +111,14 @@ def _induced(g, ids, vertices):
 
 def pseudoarboricity(g):
     """Least k admitting a k-orientation; equals ceil(Mad/2)."""
-    if g.m == 0:
-        return 0
-    k = -(-g.m // g.n)
-    while isinstance(result := k_orientation(g, k), Infeasible):
-        h = set(result.witness)
+    return _least_orientation(g)[0]
+
+
+def _least_orientation(g):
+    """(k, sigma): the pseudoarboricity k and the k-orientation sigma that
+    ``k_orientation(g, k)`` returned when the loop stopped."""
+    k = -(-g.m // g.n) if g.m else 0
+    while isinstance(sigma := k_orientation(g, k), Infeasible):
+        h = set(sigma.witness)
         k = -(-sum(u in h and v in h for u, v in g.edges) // len(h))
-    return k
+    return k, sigma

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .density import pseudoarboricity
+from .density import _least_orientation
 from .errors import BadParamsError, ExceedsCapError, PreconditionFailedError
 from .graphs import _bfs_forest, min_degree
-from .orientation import Orientation, proper_three_orientation
+from .orientation import Orientation, _switch, proper_three_orientation
 
 
 @dataclass(frozen=True)
@@ -163,16 +163,22 @@ def proper_orientation_number(g, k_max):
     The switching bound settles k = 3 without search: when the scan reaches
     3 from a pseudoarboricity <= 2 (so G has a 2-orientation and every
     smaller k is refuted) and G is bipartite with min degree >= 3, the
-    paper's theorem gives a proper 3-orientation, and the witness is
-    ``proper_three_orientation(g)``, not the first one in search order.
+    paper's theorem gives a proper 3-orientation.  The witness is the one
+    ``proper_three_orientation(g)`` builds, not the first one in search
+    order, and it is built from what the scan already holds: the bound's
+    one BFS gives the classes, and since min degree >= 3 gives m >= 3n/2,
+    the pseudoarboricity loop started at ceil(m/n) = 2 and stopped there,
+    so its orientation is ``k_orientation(g, 2)``.
     """
     if k_max < 0:
         raise BadParamsError(f"k_max must be >= 0, got {k_max}")
-    lower = pseudoarboricity(g)
+    lower, sigma = _least_orientation(g)
     for k in range(lower, k_max + 1):
-        # bipartite by bipartition's rule: no edge joins two equal BFS depths
-        if k == 3 and lower <= 2 and min_degree(g) >= 3 and _bfs_forest(g)[3] is None:
-            return ExactResult(value=3, witness=proper_three_orientation(g))
+        # bipartite by bipartition's rule: no edge joins two equal BFS depths,
+        # and class X is the even depths
+        if k == 3 and lower <= 2 and min_degree(g) >= 3 and (bfs := _bfs_forest(g))[3] is None:
+            x_class = [v for v, d in enumerate(bfs[2]) if not d & 1]
+            return ExactResult(value=3, witness=_switch(g, x_class, 2, sigma))
         witness = exists_proper_k(g, k)
         if witness is not None:
             return ExactResult(value=k, witness=witness)

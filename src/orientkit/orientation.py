@@ -182,8 +182,10 @@ def proper_bipartite_orientation(g, part, x_class, k):
 
     x_class must be X or Y, and part must give each vertex of g a side
     that is X or Y, and different sides to the two ends of each edge, or
-    BadParamsError names the first vertex or edge that fails.  Then
-    ``_switch`` runs the construction.
+    BadParamsError names the first vertex or edge that fails.  Then the
+    degree gate raises PreconditionDegreeError for the first x of degree
+    <= k, before the engine runs, and ``_switch`` builds the result from
+    ``k_orientation(g, k)``.
     """
     if k < 1:
         raise BadParamsError(f"k must be >= 1, got {k}")
@@ -198,20 +200,22 @@ def proper_bipartite_orientation(g, part, x_class, k):
     for i, (u, v) in enumerate(g.edges):
         if side[u] == side[v]:
             raise BadParamsError(f"edge {i} = ({u}, {v}) has both ends in class {side[u]}")
-    return _switch(g, part.vertices_in(x_class), k)
-
-
-def _switch(g, x_vertices, k):
-    """The switching construction with X = x_vertices.
-
-    The caller vouches that no edge joins two vertices of x_vertices; that
-    is not checked here.  Raises PreconditionDegreeError for the first x of
-    degree <= k, and PreconditionMadError when g has no k-orientation.
-    """
+    x_vertices = part.vertices_in(x_class)
     for x in x_vertices:
         if g.degree(x) <= k:
             raise PreconditionDegreeError(x, g.degree(x), k)
-    sigma = k_orientation(g, k)
+    return _switch(g, x_vertices, k, k_orientation(g, k))
+
+
+def _switch(g, x_vertices, k, sigma):
+    """The switching construction with X = x_vertices, started from sigma,
+    which must be what ``k_orientation(g, k)`` returns: a k-orientation or
+    ``Infeasible``.  The caller passes the one it already holds.
+
+    The caller vouches that no edge joins two vertices of x_vertices and
+    that each has degree >= k+1; neither is checked here.  Raises
+    PreconditionMadError when sigma is Infeasible.
+    """
     if isinstance(sigma, Infeasible):
         raise PreconditionMadError(k, sigma.witness)
 
@@ -244,12 +248,13 @@ def proper_three_orientation(g):
     ``PreconditionMadError`` carries a subset H with |E(H)| > 2|H|.  Uses the
     class of vertex 0 as X; either class works since every degree is
     >= 3 = k+1 for k = 2.  The classes come from ``bipartition``'s one BFS,
-    so they go to ``_switch`` without a second check.
+    so they go to ``_switch`` without a second check, and so do the
+    degrees, which the min-degree gate has checked.
     """
     part = bipartition(g)
     if (low := min_degree(g)) < 3:
         raise MinDegreeTooSmallError(low)
-    return _switch(g, part.vertices_in(X), 2)
+    return _switch(g, part.vertices_in(X), 2, k_orientation(g, 2))
 
 
 def verify_orientation(g, sigma):

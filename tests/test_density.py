@@ -14,10 +14,11 @@ from conftest import (
     unicyclic,
 )
 from orientkit import density
-from orientkit.density import mad_exact, pseudoarboricity
+from orientkit.density import _least_orientation, mad_exact, pseudoarboricity
 from orientkit.errors import EmptyEdgeSetError
 from orientkit.generators import complete_bipartite, cycle, path, pdw, q3, star, theorem4
 from orientkit.graphs import Graph, parse_graph
+from orientkit.orientation import k_orientation, verify_orientation
 
 
 def test_single_edge():
@@ -321,3 +322,18 @@ def test_pseudoarboricity_engine_calls(monkeypatch, make, value, calls):
     monkeypatch.setattr(density, "k_orientation", counted)
     assert pseudoarboricity(make()) == value
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Graph(n=0, edges=()),
+    lambda: Graph(n=3, edges=()),
+    lambda: pdw(300),
+    lambda: theorem4(0),
+    lambda: block_with_tail()[0],  # the loop steps from k = 2 to k = 3
+], ids=["no-vertices", "edgeless", "pdw(300)", "theorem4(0)", "block-with-tail"])
+def test_least_orientation_returns_the_orientation_it_stopped_at(make):
+    g = make()
+    k, sigma = _least_orientation(g)
+    assert k == pseudoarboricity(g)
+    assert verify_orientation(g, sigma).max_indegree <= k
+    assert sigma == k_orientation(g, k)

@@ -6,6 +6,10 @@ from itertools import combinations, permutations
 
 import pytest
 
+import orientkit.density as density_module
+import orientkit.exact as exact_module
+import orientkit.graphs as graphs_module
+import orientkit.orientation as orientation_module
 from conftest import (
     brute_force_exists_proper_k,
     brute_force_max_matching,
@@ -14,6 +18,7 @@ from conftest import (
     random_bipartite_graph,
     random_connected_graph,
     relabel,
+    switching_graphs,
 )
 from orientkit.density import pseudoarboricity
 from orientkit.errors import (
@@ -32,7 +37,7 @@ from orientkit.exact import (
 )
 from orientkit.generators import complete_bipartite, cycle, path, pdw, q3, star
 from orientkit.graphs import Graph, _bfs_forest, bipartition, parse_graph
-from orientkit.orientation import verify_orientation
+from orientkit.orientation import proper_three_orientation, verify_orientation
 from orientkit.t4proof import shrunken_instance
 
 
@@ -240,6 +245,42 @@ def test_switching_bound_needs_a_2_orientation():
     assert pseudoarboricity(g) == 3
     with pytest.raises(ExceedsCapError):
         proper_orientation_number(g, 3)
+
+
+def _count_calls(monkeypatch, calls, bindings):
+    """Append each call to the functions bound at (module, name) to calls."""
+    for module, name in bindings:
+        real = getattr(module, name)
+
+        def spy(*args, real=real):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+
+
+def test_switching_bound_reuses_the_scans_orientation_and_bfs(monkeypatch):
+    # the scan's pseudoarboricity loop stops at its 2-orientation and the
+    # bound's BFS gives the classes, so switching needs no second engine call
+    # or BFS; every binding of both is counted, wherever it is called from
+    rng = random.Random(31)
+    graphs = [relabel(rng, pdw(m)) for m in (5, 8, 30, 100, 300)]
+    graphs += [g for g in switching_graphs()
+               if pseudoarboricity(g) == 2 and proper_orientation_number(g, 4).value == 3]
+    assert len(graphs) > 40
+    for g in graphs:
+        expected = proper_three_orientation(g).direction
+        engine, bfs = [], []
+        with monkeypatch.context() as patch:
+            _count_calls(patch, engine, [(density_module, "k_orientation"),
+                                         (orientation_module, "k_orientation")])
+            _count_calls(patch, bfs, [(exact_module, "_bfs_forest"),
+                                      (graphs_module, "_bfs_forest")])
+            result = proper_orientation_number(g, 4)
+        assert result.value == 3
+        assert len(engine) == 1 and engine[0][1] == 2
+        assert len(bfs) == 1
+        assert result.witness.direction == expected
 
 
 @pytest.mark.parametrize("edges", [

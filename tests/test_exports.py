@@ -32,6 +32,10 @@ ROOTS = ("main", "run", "build_parser")
 # reason it stays.  ROADMAP item 9 deletes the last three once the benchmark
 # hooks move (item 1).
 UNREACHED = {
+    "density.pseudoarboricity": "public API that bench/workloads.py's density "
+                                "jobs call; exact reads the same loop through "
+                                "density._least_orientation, which also returns "
+                                "the orientation found",
     "cnf.dpll": "bench/workloads.py runs it as the dpll job, and CI solves "
                 "a cnf document with it before decode",
     "flow.Dinic": "bench/tracing.py hooks Dinic.max_flow and "
