@@ -40,8 +40,9 @@ from .graphs import (
 
 
 def _read_text(path):
-    """The text of the file at path; None or "-" means stdin."""
-    if path and path != "-":
+    """The text of the file at path; None or "-" means stdin, and any other
+    string, the empty one too, is a path."""
+    if path is not None and path != "-":
         # undecodable bytes reach the tokenizer, which names their line
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             return fh.read()
@@ -51,8 +52,9 @@ def _read_text(path):
 
 
 def _write_text(path, text):
-    """Write text to the file at path; None or "-" means stdout."""
-    if path and path != "-":
+    """Write text to the file at path; None or "-" means stdout, and any
+    other string, the empty one too, is a path."""
+    if path is not None and path != "-":
         with open(path, "w") as fh:
             fh.write(text)
     elif sys.stdout is None:  # the process was started with stdout closed
@@ -165,7 +167,7 @@ def _cmd_gen(args):
 def _cmd_verify(args):
     from .orientation import Orientation, verify_orientation
 
-    if args.orientation:
+    if args.orientation is not None:
         g = _read_graph(args)
         sigma = _read_orientation(g, args.orientation)
     else:
@@ -215,7 +217,7 @@ def _cmd_check_t4(args):
         f"witness (extra={args.extra}): proper={str(wreport.proper).lower()} "
         f"max_indegree={wreport.max_indegree}"
     )
-    if args.emit_witness:
+    if args.emit_witness is not None:
         _write_text(args.emit_witness, _arcs_text(sigma))
     certified = report.conclusion and crosscheck and wreport.proper and wreport.max_indegree == 4
     lines.append(f"chi_orient = 4 certified: {str(certified).lower()}")

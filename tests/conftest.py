@@ -154,6 +154,22 @@ def component_count(g):
     return sum(parent[v] == v for v in range(g.n))
 
 
+def spy(monkeypatch, *bindings):
+    """The list of the argument tuples of every call to the functions bound
+    at the (module, name) pairs in bindings, each of which still does its
+    work."""
+    calls = []
+    for module, name in bindings:
+        real = getattr(module, name)
+
+        def counted(*args, real=real):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def _two_colouring(g):
     """side[v] in {0, 1}, 0 on the smallest vertex of each component."""
     side = [None] * g.n

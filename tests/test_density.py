@@ -10,6 +10,7 @@ from conftest import (
     brute_force_mad,
     random_connected_graph,
     relabel,
+    spy,
     subset_density,
     unicyclic,
 )
@@ -103,14 +104,7 @@ def test_long_augmenting_paths():
 
 
 def test_mad_needs_at_most_two_engine_calls(monkeypatch):
-    calls = []
-    spread = density._spread
-
-    def counted(g, units, cap):
-        calls.append((units, cap))
-        return spread(g, units, cap)
-
-    monkeypatch.setattr(density, "_spread", counted)
+    calls = spy(monkeypatch, (density, "_spread"))
     assert mad_exact(pdw(100)).mad == Fraction(2 * 400, 202)
     assert 1 <= len(calls) <= 2
 
@@ -158,35 +152,23 @@ def test_mad_exact_is_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == MAD_SHA256[name]
 
 
-def engine_sizes(monkeypatch):
-    """The vertex count of every graph that mad_exact hands the engine."""
-    sizes = []
-    spread = density._spread
-
-    def counted(g, units, cap):
-        sizes.append(g.n)
-        return spread(g, units, cap)
-
-    monkeypatch.setattr(density, "_spread", counted)
-    return sizes
-
-
 def test_engine_sees_only_the_core(monkeypatch):
-    sizes = engine_sizes(monkeypatch)
+    # calls[i][0] is the graph that mad_exact hands the engine
+    calls = spy(monkeypatch, (density, "_spread"))
     g, block = block_with_tail()
     assert mad_exact(g).witness == tuple(sorted(block))
     # the 2-core drops the 60-vertex tail: the engine sees K(5,6) alone
-    assert sizes and max(sizes) <= 11
-    sizes.clear()
+    assert calls and max(args[0].n for args in calls) <= 11
+    calls.clear()
     # pdw(100) has minimum degree 3 >= ceil(400/202): nothing is peeled
     assert mad_exact(pdw(100)).mad == Fraction(2 * 400, 202)
-    assert sizes == [202]
+    assert [args[0].n for args in calls] == [202]
 
 
 def test_peeled_graphs_match_brute_force(monkeypatch):
     # a dense core with pendant trees and tails, relabelled: the
     # ceil(m/n)-core drops every tree, so the engine sees fewer vertices
-    sizes = engine_sizes(monkeypatch)
+    calls = spy(monkeypatch, (density, "_spread"))
     rng = random.Random(2201)
     checked = 0
     while checked < 40:
@@ -197,9 +179,9 @@ def test_peeled_graphs_match_brute_force(monkeypatch):
         n = rng.randint(core + 1, 10)
         edges += [(rng.randrange(v), v) for v in range(core, n)]
         g = relabel(rng, Graph(n=n, edges=tuple(edges)))
-        sizes.clear()
+        calls.clear()
         report = mad_exact(g)
-        assert sizes[0] < g.n
+        assert calls[0][0].n < g.n
         assert report.mad == brute_force_mad(g)
         assert report.witness == brute_force_densest(g)
         checked += 1
@@ -230,11 +212,11 @@ def test_a_nested_test_follows_a_peel(monkeypatch):
     perm = list(range(21))
     rng.shuffle(perm)
     edges = [(perm[u], perm[v]) for u, v in k5 + [(4, 5)] + k33 + tail]
-    sizes = engine_sizes(monkeypatch)
+    calls = spy(monkeypatch, (density, "_spread"))
     report = mad_exact(Graph(n=21, edges=tuple(edges)))
     assert report.mad == Fraction(4)
     assert report.witness == tuple(sorted(perm[:5]))
-    assert sizes == [11, 5]
+    assert [args[0].n for args in calls] == [11, 5]
 
 
 def test_relabelled_pdw_is_densest_as_a_whole():
@@ -312,14 +294,7 @@ def test_pseudoarboricity_is_ceil_half_mad():
     (lambda: block_with_tail()[0], 3, 2),
 ], ids=["pdw(300)", "theorem4(0)", "block-with-tail"])
 def test_pseudoarboricity_engine_calls(monkeypatch, make, value, calls):
-    seen = []
-    k_orientation = density.k_orientation
-
-    def counted(g, k):
-        seen.append(k)
-        return k_orientation(g, k)
-
-    monkeypatch.setattr(density, "k_orientation", counted)
+    seen = spy(monkeypatch, (density, "k_orientation"))
     assert pseudoarboricity(make()) == value
     assert len(seen) == calls
 

@@ -18,6 +18,7 @@ from conftest import (
     random_bipartite_graph,
     random_connected_graph,
     relabel,
+    spy,
     switching_graphs,
 )
 from orientkit.density import pseudoarboricity
@@ -247,18 +248,6 @@ def test_switching_bound_needs_a_2_orientation():
         proper_orientation_number(g, 3)
 
 
-def _count_calls(monkeypatch, calls, bindings):
-    """Append each call to the functions bound at (module, name) to calls."""
-    for module, name in bindings:
-        real = getattr(module, name)
-
-        def spy(*args, real=real):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(module, name, spy)
-
-
 def test_switching_bound_reuses_the_scans_orientation_and_bfs(monkeypatch):
     # the scan's pseudoarboricity loop stops at its 2-orientation and the
     # bound's BFS gives the classes, so switching needs no second engine call
@@ -270,12 +259,10 @@ def test_switching_bound_reuses_the_scans_orientation_and_bfs(monkeypatch):
     assert len(graphs) > 40
     for g in graphs:
         expected = proper_three_orientation(g).direction
-        engine, bfs = [], []
         with monkeypatch.context() as patch:
-            _count_calls(patch, engine, [(density_module, "k_orientation"),
-                                         (orientation_module, "k_orientation")])
-            _count_calls(patch, bfs, [(exact_module, "_bfs_forest"),
-                                      (graphs_module, "_bfs_forest")])
+            engine = spy(patch, (density_module, "k_orientation"),
+                         (orientation_module, "k_orientation"))
+            bfs = spy(patch, (exact_module, "_bfs_forest"), (graphs_module, "_bfs_forest"))
             result = proper_orientation_number(g, 4)
         assert result.value == 3
         assert len(engine) == 1 and engine[0][1] == 2

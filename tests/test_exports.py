@@ -36,8 +36,9 @@ UNREACHED = {
                                 "jobs call; exact reads the same loop through "
                                 "density._least_orientation, which also returns "
                                 "the orientation found",
-    "cnf.dpll": "bench/workloads.py runs it as the dpll job, and CI solves "
-                "a cnf document with it before decode",
+    "cnf.dpll": "bench/workloads.py runs it as the dpll job, and tests/cli.txt's "
+                "dpll block, which pytest and CI both run, solves a cnf document "
+                "with it before decode",
     "flow.Dinic": "bench/tracing.py hooks Dinic.max_flow and "
                   "Dinic.min_cut_source_side, and bench/selftest.py pins them",
     "graphs.connected_components": "bench/tracing.py hooks it",

@@ -14,6 +14,7 @@ from conftest import (
     grid,
     random_connected_graph,
     relabel,
+    spy,
     switching_graphs,
     unicyclic,
 )
@@ -253,18 +254,6 @@ def test_proper3_is_switching_on_class_x_at_k_2():
     assert 0 < sum(outcomes) < len(outcomes)  # both outcomes are compared
 
 
-def _spy(monkeypatch, module, name):
-    """The list of calls to module.name, which still does its work."""
-    calls, real = [], getattr(module, name)
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(module, name, spy)
-    return calls
-
-
 @pytest.mark.parametrize("make, switch, error, engine_calls", [
     (lambda: cycle(3), proper_three_orientation, NotBipartiteError, 0),
     (lambda: cycle(4), proper_three_orientation, MinDegreeTooSmallError, 0),
@@ -275,8 +264,8 @@ def _spy(monkeypatch, module, name):
 ], ids=["odd-cycle", "min-degree", "class-degree", "pdw20", "no-2-orientation"])
 def test_gates_run_before_the_engine(make, switch, error, engine_calls, monkeypatch):
     g = make()
-    engine = _spy(monkeypatch, orientation_module, "k_orientation")
-    bfs = _spy(monkeypatch, graphs_module, "_bfs_forest")
+    engine = spy(monkeypatch, (orientation_module, "k_orientation"))
+    bfs = spy(monkeypatch, (graphs_module, "_bfs_forest"))
     if error is None:
         assert verify_orientation(g, switch(g)).proper
     else:

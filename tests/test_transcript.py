@@ -4,6 +4,7 @@ of it."""
 import os
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,18 @@ def test_runner_names_the_first_block_that_differs(tmp_path, block):
     path.write_text(f"$ echo hello\nhello\n\n{block}\n$ exit 9\n")
     command = block.split("\n")[0]
     assert transcript.check(path).startswith(f"{path}:4: {command}\n")
+
+
+def test_runner_names_a_block_that_runs_too_long(tmp_path, monkeypatch):
+    # the whole process group is killed: a surviving cat would hold the pipe
+    # open until sleep ends, 30 s later
+    monkeypatch.setattr(transcript, "TIMEOUT_S", 1)
+    path = tmp_path / "t.txt"
+    path.write_text("$ echo hello\nhello\n\n$ sleep 30 | cat\n\n$ exit 9\n")
+    start = time.monotonic()
+    report = transcript.check(path)
+    assert time.monotonic() - start < 10
+    assert report == f"{path}:4: $ sleep 30 | cat\ntimed out after 1 s"
 
 
 def test_every_subcommand_runs_in_a_block():

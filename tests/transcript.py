@@ -13,19 +13,24 @@ The blocks run in order, each through ``bash -o pipefail -c`` with stdin
 from /dev/null, in one fresh temporary directory that they share, so a file
 one block writes is there for the next.  The first block whose stdout, exit
 status or stderr differs is named by its line number, with a diff of what it
-shows against what ran, and the exit status is 1.
+shows against what ran, and the exit status is 1.  Each block runs in its own
+session: one that runs longer than TIMEOUT_S seconds is killed with every
+process it started, and named as timed out.
 """
 
 from __future__ import annotations
 
 import difflib
+import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
 from typing import NamedTuple
 
 EXIT_LINE = re.compile(r"\[exit (-?\d+)\]")
+TIMEOUT_S = 60
 
 
 class Block(NamedTuple):
@@ -78,6 +83,22 @@ def _rendered(stdout, code, stderr):
     return lines
 
 
+def _run(command, cwd):
+    """(stdout, exit status, stderr) of command, or None when it runs past
+    TIMEOUT_S; its process group, which holds every process it started, is
+    then killed."""
+    with subprocess.Popen(["bash", "-o", "pipefail", "-c", command], cwd=cwd,
+                          stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, start_new_session=True) as ran:
+        try:
+            stdout, stderr = ran.communicate(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(ran.pid, signal.SIGKILL)
+            ran.communicate()
+            return None
+    return stdout, ran.returncode, stderr
+
+
 def check(path):
     """None when every block of the transcript at path prints what it
     shows; otherwise a report that names the first block that does not."""
@@ -85,14 +106,14 @@ def check(path):
         blocks = parse(fh.read())
     with tempfile.TemporaryDirectory() as cwd:
         for block in blocks:
-            ran = subprocess.run(["bash", "-o", "pipefail", "-c", block.command], cwd=cwd,
-                                 stdin=subprocess.DEVNULL, capture_output=True)
             shown = (block.stdout.encode(), block.code, block.stderr.encode())
-            actual = (ran.stdout, ran.returncode, ran.stderr)
+            actual = _run(block.command, cwd)
             if actual != shown:
+                command = block.command.replace("\n", "\n> ")
+                if actual is None:
+                    return f"{path}:{block.line}: $ {command}\ntimed out after {TIMEOUT_S} s"
                 diff = difflib.unified_diff(_rendered(*shown), _rendered(*actual),
                                             "shown", "ran", lineterm="")
-                command = block.command.replace("\n", "\n> ")
                 return "\n".join([f"{path}:{block.line}: $ {command}", *diff])
     return None
 
