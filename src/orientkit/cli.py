@@ -200,6 +200,8 @@ def _cmd_check_t4(args):
     if args.emit_witness == "-":
         raise BadParamsError("--emit-witness needs a file: stdout carries the report")
     sigma = witness_four_orientation(args.extra)  # checks --extra before any enumeration
+    if args.emit_witness is not None:  # a bad path fails before any enumeration too
+        _write_text(args.emit_witness, _arcs_text(sigma))
     report = verify_lower_bound_certificate()
     lines = list(report.narrative)
     for name, gadget in (
@@ -217,8 +219,6 @@ def _cmd_check_t4(args):
         f"witness (extra={args.extra}): proper={str(wreport.proper).lower()} "
         f"max_indegree={wreport.max_indegree}"
     )
-    if args.emit_witness is not None:
-        _write_text(args.emit_witness, _arcs_text(sigma))
     certified = report.conclusion and crosscheck and wreport.proper and wreport.max_indegree == 4
     lines.append(f"chi_orient = 4 certified: {str(certified).lower()}")
     return "".join(f"{line}\n" for line in lines), 0 if certified else 1

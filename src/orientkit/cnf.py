@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BadParamsError, IncompleteModelError
-from .orientation import Orientation, verify_orientation
 
 
 @dataclass
@@ -36,8 +35,9 @@ class CnfDocument:
     def to_dimacs(self):
         lines = [f"c {c}" for c in self.comments]
         lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
-        for clause in self.clauses:
-            lines.append(" ".join(str(lit) for lit in clause) + " 0")
+        # one "%d ... %d 0" format per clause length; an empty clause prints " 0"
+        formats = {n: " ".join(["%d"] * n) + " 0" for n in set(map(len, self.clauses))}
+        lines += [formats[len(clause)] % tuple(clause) for clause in self.clauses]
         return "\n".join(lines) + "\n"
 
 
@@ -126,6 +126,8 @@ def decode_model(g, k, assignment):
     equal indegrees, or a vertex of indegree above k, is an
     IncompleteModelError naming it.  k < 1 is a BadParamsError.
     """
+    from .orientation import Orientation, verify_orientation
+
     if k < 1:
         raise BadParamsError(f"k must be >= 1, got {k}")
     values = {}

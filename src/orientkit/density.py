@@ -33,15 +33,9 @@ parts: the peel order, in which each peeled vertex has fewer than lam/2
 later neighbours; the outside part of each nested test's load; and the
 final load on G[U].
 
-Pseudoarboricity runs the same loop over the integers.  A k-orientation
-exists iff no subgraph has |E(H)| > k|H| (Hakimi), so the least such k is
-ceil(Mad/2).  Start at k = ceil(m/n) (0 on an edgeless graph); while
-``k_orientation`` returns a witness H, set k = ceil(|E(H)|/|H|).  Since
-|E(H)| > k|H| every step strictly raises k, and since m/n and every
-|E(H)|/|H| are at most Mad/2, k never passes ceil(Mad/2), where the loop
-must stop.  ``_least_orientation`` also returns the k-orientation that
-stopped it, so a caller that needs both (the exact scan's switching bound)
-runs the loop once.
+``pseudoarboricity`` runs the same loop over the integers: the least k
+with a k-orientation is ceil(Mad/2), and ``orientation._least_orientation``
+finds it by stepping on ``k_orientation``'s witnesses.
 """
 
 from __future__ import annotations
@@ -51,7 +45,7 @@ from fractions import Fraction
 
 from .errors import EmptyEdgeSetError
 from .graphs import Graph
-from .orientation import Infeasible, _spread, k_orientation
+from .orientation import _least_orientation, _spread
 
 
 @dataclass(frozen=True)
@@ -113,12 +107,3 @@ def pseudoarboricity(g):
     """Least k admitting a k-orientation; equals ceil(Mad/2)."""
     return _least_orientation(g)[0]
 
-
-def _least_orientation(g):
-    """(k, sigma): the pseudoarboricity k and the k-orientation sigma that
-    ``k_orientation(g, k)`` returned when the loop stopped."""
-    k = -(-g.m // g.n) if g.m else 0
-    while isinstance(sigma := k_orientation(g, k), Infeasible):
-        h = set(sigma.witness)
-        k = -(-sum(u in h and v in h for u, v in g.edges) // len(h))
-    return k, sigma

@@ -26,10 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .density import _least_orientation
 from .errors import BadParamsError, ExceedsCapError, PreconditionFailedError
 from .graphs import _bfs_forest, min_degree
-from .orientation import Orientation, _switch, proper_three_orientation
+from .orientation import Orientation, _least_orientation, _switch, proper_three_orientation
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,17 @@ of (held - cap) <= the total excess over cap, which H attains; equality
 needs S to hold every source and the other end of every edge with units on
 S, so S contains H.  H is thus the smallest maximiser of
 units*|E(H)| - cap*|H|, whatever order the paths were taken in.
+
+``_least_orientation`` finds the pseudoarboricity, the least k with a
+k-orientation, by steps over the integers.  A k-orientation exists iff no
+subgraph has |E(H)| > k|H| (Hakimi), so the least such k is ceil(Mad/2),
+where Mad is the largest 2|E(H)|/|H| over subgraphs H.  Start at
+k = ceil(m/n) (0 on an edgeless graph); while ``k_orientation`` returns a
+witness H, set k = ceil(|E(H)|/|H|).  Since |E(H)| > k|H| every step
+strictly raises k, and since m/n and every |E(H)|/|H| are at most Mad/2, k
+never passes ceil(Mad/2), where the loop must stop.  It also returns the
+k-orientation that stopped it, so a caller that needs both (the exact
+scan's switching bound) runs the loop once.
 """
 from __future__ import annotations
 
@@ -170,6 +181,16 @@ def k_orientation(g, k):
     if witness is not None:
         return Infeasible(k=k, witness=witness)
     return Orientation(graph=g, direction=tuple(map(bool, load)))
+
+
+def _least_orientation(g):
+    """(k, sigma): the pseudoarboricity k and the k-orientation sigma that
+    ``k_orientation(g, k)`` returned when the loop stopped."""
+    k = -(-g.m // g.n) if g.m else 0
+    while isinstance(sigma := k_orientation(g, k), Infeasible):
+        h = set(sigma.witness)
+        k = -(-sum(u in h and v in h for u, v in g.edges) // len(h))
+    return k, sigma
 
 
 def proper_bipartite_orientation(g, part, x_class, k):

@@ -271,7 +271,11 @@ def test_check_t4_bytes_are_pinned(extra, report_digest, witness_digest, tmp_pat
     assert hashlib.sha256(target.read_bytes()).hexdigest() == witness_digest
 
 
-def test_check_t4_error_leaves_stdout_empty(tmp_path):
+def test_check_t4_error_leaves_stdout_empty(tmp_path, monkeypatch):
+    # a witness path that cannot be written is an I/O error found before
+    # any enumeration
+    monkeypatch.setattr("orientkit.t4proof.verify_lower_bound_certificate",
+                        mock.Mock(side_effect=AssertionError("enumerated")))
     not_a_dir = tmp_path / "f"
     not_a_dir.write_text("")
     code, out, err = cli(["check-t4", "--emit-witness", str(not_a_dir / "w.txt")])
@@ -328,20 +332,37 @@ def test_verify_huge_id_under_a_memory_limit(tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (0, "proper=true max_indegree=1\n", "")
 
 
-# What each command loads past orientkit, cli, errors and graphs (every
-# command reads or writes a graph): only the modules whose code it runs.
-# fractions comes with density, whose Mad values are exact rationals.
-@pytest.mark.parametrize("argv, modules", [
-    (["gen", "pdw:20"], {"generators"}),
-    (["proper3", "pdw.txt"], {"orientation"}),
-    (["verify", "arcs.txt"], {"orientation"}),
-    (["mad", "pdw.txt"], {"density", "orientation", "fractions"}),
-    (["cnf", "-k", "3", "pdw.txt"], {"cnf", "orientation"}),
-    (["exact", "pdw.txt"], {"density", "exact", "orientation", "fractions"}),
-], ids=["gen", "proper3", "verify", "mad", "cnf", "exact"])
+# What each subcommand loads past orientkit, cli, errors and graphs (every
+# command reads or writes a graph): only the modules whose code it runs, as
+# (argv, modules).  fractions comes with density, whose Mad values are exact
+# rationals, so only mad loads it.
+IMPORTS = {
+    "mad": (["mad", "pdw.txt"], {"density", "orientation", "fractions"}),
+    "orient": (["orient", "-k", "2", "pdw.txt"], {"orientation"}),
+    "proper": (["proper", "-k", "2", "pdw.txt"], {"orientation"}),
+    "proper3": (["proper3", "pdw.txt"], {"orientation"}),
+    "exact": (["exact", "pdw.txt"], {"exact", "orientation"}),
+    "quad": (["quad", "pdw.txt"], {"exact", "orientation"}),
+    "cnf": (["cnf", "-k", "3", "pdw.txt"], {"cnf"}),
+    "decode": (["decode", "-k", "1", "--model", "model.txt", "edge.txt"], {"cnf", "orientation"}),
+    "gen": (["gen", "pdw:20"], {"generators"}),
+    "verify": (["verify", "arcs.txt"], {"orientation"}),
+    "check-t4": (["check-t4"], {"t4proof", "generators", "orientation", "exact"}),
+}
+
+
+def test_every_subcommand_has_an_import_row():
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    assert set(IMPORTS) == set(subcommands)
+    assert all(argv[0] == name for name, (argv, _) in IMPORTS.items())
+
+
+@pytest.mark.parametrize("argv, modules", IMPORTS.values(), ids=IMPORTS)
 def test_each_command_imports_only_what_it_runs(argv, modules, tmp_path):
     (tmp_path / "pdw.txt").write_text(serialize_graph(pdw(20)))
     (tmp_path / "arcs.txt").write_text("0 1\n1 2\n")
+    (tmp_path / "edge.txt").write_text("2 1\n0 1\n")
+    (tmp_path / "model.txt").write_text("v 1 0\n")
     probe = (
         "import sys\n"
         "from orientkit.cli import run\n"

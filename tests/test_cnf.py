@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from conftest import random_bipartite_graph, random_connected_graph, relabel
-from orientkit.cnf import decode_model, dpll, export_cnf
+from orientkit.cnf import CnfDocument, decode_model, dpll, export_cnf
 from orientkit.errors import BadParamsError, IncompleteModelError
 from orientkit.exact import exists_proper_k
 from orientkit.generators import complete_bipartite, cycle, path, pdw, q3, star, theorem4
@@ -94,6 +94,17 @@ def test_dimacs_shape():
     assert int(nvars) == doc.num_vars
     assert int(nclauses) == len(doc.clauses)
     assert all(l.endswith(" 0") for l in lines if not l.startswith(("c", "p")))
+
+
+def test_dimacs_text_of_a_built_document():
+    # export_cnf never makes an empty clause, but a document built by hand
+    # may: it prints " 0", and clauses of mixed lengths share no format
+    doc = CnfDocument(num_vars=12, clauses=[[1, -2], [], (-12,), [3, 4, -5, 6], [7, 8]],
+                      comments=["hand-built"])
+    assert doc.to_dimacs() == (
+        "c hand-built\np cnf 12 5\n1 -2 0\n 0\n-12 0\n3 4 -5 6 0\n7 8 0\n"
+    )
+    assert CnfDocument(num_vars=0, clauses=[]).to_dimacs() == "p cnf 0 0\n"
 
 
 def test_huge_k_adds_no_work():

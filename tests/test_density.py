@@ -14,12 +14,12 @@ from conftest import (
     subset_density,
     unicyclic,
 )
-from orientkit import density
-from orientkit.density import _least_orientation, mad_exact, pseudoarboricity
+from orientkit import density, orientation
+from orientkit.density import mad_exact, pseudoarboricity
 from orientkit.errors import EmptyEdgeSetError
 from orientkit.generators import complete_bipartite, cycle, path, pdw, q3, star, theorem4
 from orientkit.graphs import Graph, parse_graph
-from orientkit.orientation import k_orientation, verify_orientation
+from orientkit.orientation import _least_orientation, k_orientation, verify_orientation
 
 
 def test_single_edge():
@@ -294,7 +294,7 @@ def test_pseudoarboricity_is_ceil_half_mad():
     (lambda: block_with_tail()[0], 3, 2),
 ], ids=["pdw(300)", "theorem4(0)", "block-with-tail"])
 def test_pseudoarboricity_engine_calls(monkeypatch, make, value, calls):
-    seen = spy(monkeypatch, (density, "k_orientation"))
+    seen = spy(monkeypatch, (orientation, "k_orientation"))
     assert pseudoarboricity(make()) == value
     assert len(seen) == calls
 

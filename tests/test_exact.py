@@ -6,7 +6,6 @@ from itertools import combinations, permutations
 
 import pytest
 
-import orientkit.density as density_module
 import orientkit.exact as exact_module
 import orientkit.graphs as graphs_module
 import orientkit.orientation as orientation_module
@@ -260,8 +259,7 @@ def test_switching_bound_reuses_the_scans_orientation_and_bfs(monkeypatch):
     for g in graphs:
         expected = proper_three_orientation(g).direction
         with monkeypatch.context() as patch:
-            engine = spy(patch, (density_module, "k_orientation"),
-                         (orientation_module, "k_orientation"))
+            engine = spy(patch, (orientation_module, "k_orientation"))
             bfs = spy(patch, (exact_module, "_bfs_forest"), (graphs_module, "_bfs_forest"))
             result = proper_orientation_number(g, 4)
         assert result.value == 3

@@ -34,7 +34,7 @@ ROOTS = ("main", "run", "build_parser")
 UNREACHED = {
     "density.pseudoarboricity": "public API that bench/workloads.py's density "
                                 "jobs call; exact reads the same loop through "
-                                "density._least_orientation, which also returns "
+                                "orientation._least_orientation, which also returns "
                                 "the orientation found",
     "cnf.dpll": "bench/workloads.py runs it as the dpll job, and tests/cli.txt's "
                 "dpll block, which pytest and CI both run, solves a cnf document "
