@@ -106,7 +106,8 @@ def _cmd_proper(args):
     from .orientation import proper_bipartite_orientation
 
     g = _read_graph(args)
-    # class X always contains vertex 0, so "auto" and "0" coincide
+    # class X holds the smallest vertex of every connected component, vertex 0
+    # among them, so "auto" and "0" coincide
     x_class = "Y" if args.x_class == "1" else "X"
     return _arcs_text(proper_bipartite_orientation(g, bipartition(g), x_class, args.k))
 
@@ -144,7 +145,7 @@ def _cmd_decode(args):
         parts = line.split()
         if parts and parts[0] in ("c", "s"):  # DIMACS comment and status lines
             continue
-        if parts and parts[0] in ("v", "V"):
+        if parts and parts[0] == "v":
             parts = parts[1:]
         literals += read_ints(parts, lineno)
     return _arcs_text(decode_model(g, args.k, literals))

@@ -266,8 +266,9 @@ def proper_three_orientation(g):
     to get the 2-orientation (in a bipartite planar graph every subgraph H
     has |E(H)| <= 2|H|), but it is never trusted: the planar flag is not
     read, and the engine either finds the 2-orientation or
-    ``PreconditionMadError`` carries a subset H with |E(H)| > 2|H|.  Uses the
-    class of vertex 0 as X; either class works since every degree is
+    ``PreconditionMadError`` carries a subset H with |E(H)| > 2|H|.  Uses
+    ``bipartition``'s class X, which holds the smallest vertex of every
+    connected component; either class works since every degree is
     >= 3 = k+1 for k = 2.  The classes come from ``bipartition``'s one BFS,
     so they go to ``_switch`` without a second check, and so do the
     degrees, which the min-degree gate has checked.

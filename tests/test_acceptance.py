@@ -9,7 +9,7 @@ import time
 
 from conftest import brute_force_exists_proper_k, brute_force_mad, random_connected_graph
 from orientkit.cnf import dpll, export_cnf
-from orientkit.density import mad_exact, pseudoarboricity
+from orientkit.density import mad_exact
 from orientkit.exact import exists_proper_k, proper_orientation_number, quadrangulation_number
 from orientkit.generators import (
     complete_bipartite,

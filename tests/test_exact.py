@@ -57,12 +57,6 @@ def test_q3_k2():
     assert report.max_indegree <= 2
 
 
-def test_witness_is_deterministic():
-    a = exists_proper_k(pdw(4), 3)
-    b = exists_proper_k(pdw(4), 3)
-    assert a.direction == b.direction
-
-
 def _pdw_calls():
     return [(pdw(m), k) for m in range(4, 21) for k in (2, 3)]
 

@@ -129,7 +129,8 @@ def test_every_public_name_has_a_caller_or_a_reason():
         target = _resolve(modules, "__init__", name)
         assert target is not None, f"{name} is exported but not defined in orientkit"
         targets.add(target)
-    assert _keys(targets - _reached(modules)) <= set(UNREACHED)
+    # so the == of the next test gives each export a caller or a reason
+    assert targets <= _public_defs(modules)
 
 
 def test_every_public_def_has_a_caller_or_a_reason():
@@ -148,7 +149,6 @@ def test_the_walk_sees_calls_between_modules():
     assert ("generators", "_t4_layout") in reached
     # build_parser binds every command
     assert ("cli", "_cmd_check_t4") in reached
-    assert ("cnf", "dpll") not in reached
 
 
 def test_exports_are_read_from_their_modules_each_time(monkeypatch):

@@ -1,7 +1,6 @@
 import pytest
 
 from orientkit.errors import BadParamsError, NotBipartiteError
-from orientkit.exact import is_q3
 from orientkit.generators import (
     FAMILIES,
     complete_bipartite,
@@ -33,10 +32,6 @@ def test_pdw_shape(m):
     assert min_degree(g) == 3
     bipartition(g)
     assert g.planar_asserted
-
-
-def test_pdw3_is_the_cube():
-    assert is_q3(pdw(3))
 
 
 @pytest.mark.parametrize("extra", [0, 1, 5])

@@ -294,13 +294,6 @@ def test_proper3_q3():
     assert sorted(report.indegrees) == [0, 0, 0, 0, 3, 3, 3, 3]
 
 
-def test_proper3_pdw4():
-    g = pdw(4)
-    report = verify_orientation(g, proper_three_orientation(g))
-    assert report.proper
-    assert report.max_indegree == 3
-
-
 def test_proper3_min_degree_gate():
     with pytest.raises(MinDegreeTooSmallError) as exc:
         proper_three_orientation(cycle(4))
