@@ -104,7 +104,9 @@ def exists_proper_k(g, k):
     if spare < g.n // 2 and len(_equal_cap_matching(g, cap, spare + 1)) > spare:
         return None
 
-    order = sorted(range(m), key=lambda i: (-(deg[g.edges[i][0]] + deg[g.edges[i][1]]), i))
+    # sorted() is stable, so ties keep edge-index order
+    weight = [-(deg[u] + deg[v]) for u, v in g.edges]
+    order = sorted(range(m), key=weight.__getitem__)
     ends = [g.edges[i] for i in order]
 
     # last[w]: the position of w's last edge, the one that fully decides w

@@ -2,6 +2,12 @@
 
 Vertex-id layouts are fixed and documented per family so orientations and
 certificates are reproducible byte for byte.
+
+Every edge list is built over one int object per vertex id: the ids come from
+one ``range`` or list, and edges pair those objects, never fresh sums such as
+``i + 1``.  CPython caches only the ints up to 256, so a larger id made anew
+for each endpoint would cost 28 bytes per endpoint, which an edge list and the
+adjacency lists built from it keep for the graph's lifetime.
 """
 
 from __future__ import annotations
@@ -26,11 +32,12 @@ def pdw(m):
     apex 2m+1 on odd ones.  A quadrangulation with min degree 3 for m >= 3."""
     if m < 3:
         raise BadParamsError("pdw needs m >= 3")
-    cycle_len = 2 * m
-    edges = [(i, (i + 1) % cycle_len) for i in range(cycle_len)]
-    edges += [(cycle_len, i) for i in range(0, cycle_len, 2)]
-    edges += [(cycle_len + 1, i) for i in range(1, cycle_len, 2)]
-    return Graph(n=cycle_len + 2, edges=tuple(edges), planar_asserted=True)
+    n = 2 * m + 2
+    *ring, even_apex, odd_apex = range(n)
+    edges = list(zip(ring, ring[1:] + ring[:1]))
+    edges += [(even_apex, x) for x in ring[0::2]]
+    edges += [(odd_apex, x) for x in ring[1::2]]
+    return Graph(n=n, edges=tuple(edges), planar_asserted=True)
 
 
 def theorem4_id_table(extra=0):
@@ -98,22 +105,24 @@ def theorem4(extra=0):
 def complete_bipartite(a, b):
     if a < 1 or b < 1:
         raise BadParamsError("complete_bipartite needs a, b >= 1")
-    edges = tuple((i, a + j) for i in range(a) for j in range(b))
+    v = list(range(a + b))
+    left, right = v[:a], v[a:]
+    edges = tuple((i, j) for i in left for j in right)
     return Graph(n=a + b, edges=edges, planar_asserted=min(a, b) <= 2)
 
 
 def path(n):
     if n < 1:
         raise BadParamsError("path needs n >= 1")
-    return Graph(n=n, edges=tuple((i, i + 1) for i in range(n - 1)), planar_asserted=True)
+    v = list(range(n))
+    return Graph(n=n, edges=tuple(zip(v, v[1:])), planar_asserted=True)
 
 
 def cycle(n):
     if n < 3:
         raise BadParamsError("cycle needs n >= 3")
-    return Graph(
-        n=n, edges=tuple((i, (i + 1) % n) for i in range(n)), planar_asserted=True
-    )
+    v = list(range(n))
+    return Graph(n=n, edges=tuple(zip(v, v[1:] + v[:1])), planar_asserted=True)
 
 
 def star(leaves):

@@ -69,15 +69,16 @@ class Orientation:
 
     def indegrees(self):
         indeg = [0] * self.graph.n
-        for i, (u, v) in enumerate(self.graph.edges):
-            indeg[v if self.direction[i] else u] += 1
+        for (u, v), forward in zip(self.graph.edges, self.direction):
+            indeg[v if forward else u] += 1
         return indeg
 
     def arcs(self):
-        """Arcs (tail, head) in edge-index order."""
+        """Arcs (tail, head) in edge-index order; a forward arc is the edge's
+        own tuple."""
         return [
-            (u, v) if self.direction[i] else (v, u)
-            for i, (u, v) in enumerate(self.graph.edges)
+            e if forward else (e[1], e[0])
+            for e, forward in zip(self.graph.edges, self.direction)
         ]
 
 
@@ -240,6 +241,7 @@ def _switch(g, x_vertices, k, sigma):
     if isinstance(sigma, Infeasible):
         raise PreconditionMadError(k, sigma.witness)
 
+    edges, adjacency = g.edges, g.adjacency
     direction = list(sigma.direction)
     indeg = sigma.indegrees()
     for x in x_vertices:
@@ -247,8 +249,8 @@ def _switch(g, x_vertices, k, sigma):
         # another vertex of X touched x, since X is independent
         need = (k + 1) - indeg[x]
         # adjacency lists edges by index, so the lowest-index arcs flip first
-        for w, i in g.adjacency[x]:
-            u, v = g.edges[i]
+        for w, i in adjacency[x]:
+            u, v = edges[i]
             if (v if direction[i] else u) == w:  # the arc x -> w
                 direction[i] = not direction[i]
                 need -= 1
@@ -288,8 +290,8 @@ def verify_orientation(g, sigma):
             f"orientation has {len(sigma.direction)} directions for {g.m} edges"
         )
     indeg = [0] * g.n
-    for i, (u, v) in enumerate(g.edges):
-        indeg[v if sigma.direction[i] else u] += 1
+    for (u, v), forward in zip(g.edges, sigma.direction):
+        indeg[v if forward else u] += 1
     violations = tuple(
         i for i, (u, v) in enumerate(g.edges) if indeg[u] == indeg[v]
     )

@@ -108,3 +108,16 @@ def test_families_are_the_documented_names():
 def test_planar_asserted_edge_bound(g):
     if g.planar_asserted and g.n >= 4:
         assert g.m <= 2 * g.n - 4
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("pdw", (300,)), ("cycle", (600,)), ("path", (600,)), ("kbip", (20, 300)),
+     ("star", (600,)), ("t4", (100,)), ("q3", ())],
+)
+def test_one_int_object_per_vertex_id(family, params):
+    # ids above 256 are not cached by CPython: a fresh int per endpoint
+    # would show as more objects than ids
+    g = generate(family, params)
+    ends = [x for e in g.edges for x in e]
+    assert len({id(x) for x in ends}) == len(set(ends))
