@@ -30,7 +30,7 @@ ROOTS = ("main", "run", "build_parser")
 
 # Public definitions ("module.name") that no command reaches, each with the
 # reason it stays.  ROADMAP item 9 deletes the last three once the benchmark
-# hooks move (item 1).
+# hooks move (item 1a or item 18).
 UNREACHED = {
     "density.pseudoarboricity": "public API that bench/workloads.py's density "
                                 "jobs call; exact reads the same loop through "
