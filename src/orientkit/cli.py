@@ -79,9 +79,12 @@ def _read_orientation(g, path):
         raise ParseError(f"orientation file has {len(arcs)} arcs, graph has {g.m} edges")
     direction = []
     for (u, v), (tail, head), line in zip(g.edges, arcs, line_numbers):
-        if (tail, head) not in ((u, v), (v, u)):
+        if tail == u and head == v:
+            direction.append(True)
+        elif tail == v and head == u:
+            direction.append(False)
+        else:
             raise ParseError(f"arc {tail}->{head} does not match edge ({u},{v})", line)
-        direction.append((tail, head) == (u, v))
     return Orientation(graph=g, direction=tuple(direction))
 
 

@@ -21,16 +21,23 @@ away; a larger t is out of one end's reach and needs no clause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import BadParamsError, IncompleteModelError
+from .graphs import _Record
 
 
-@dataclass
-class CnfDocument:
-    num_vars: int
-    clauses: list
-    comments: list = field(default_factory=list)
+class CnfDocument(_Record):
+    """A DIMACS document; unlike the other records it is mutable and
+    unhashable.  Comments default to a fresh empty list."""
+
+    __slots__ = __match_args__ = ("num_vars", "clauses", "comments")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, num_vars, clauses, comments=None):
+        self.num_vars = num_vars
+        self.clauses = clauses
+        self.comments = [] if comments is None else comments
 
     def to_dimacs(self):
         lines = [f"c {c}" for c in self.comments]

@@ -24,17 +24,17 @@ witnesses are unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BadParamsError, ExceedsCapError, PreconditionFailedError
-from .graphs import _bfs_forest, min_degree
+from .graphs import _bfs_forest, _Record, _setfield, min_degree
 from .orientation import Orientation, _least_orientation, _switch, proper_three_orientation
 
 
-@dataclass(frozen=True)
-class ExactResult:
-    value: int  # the proper orientation number
-    witness: Orientation
+class ExactResult(_Record):
+    __slots__ = __match_args__ = ("value", "witness")
+
+    def __init__(self, value, witness):
+        _setfield(self, "value", value)  # the proper orientation number
+        _setfield(self, "witness", witness)  # an Orientation
 
 
 def _equal_cap_matching(g, cap, enough):

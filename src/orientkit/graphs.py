@@ -16,12 +16,18 @@ numbers, and only the line reader can meet a bad token.
 and stops at the first bad edge; a repeat is found by an int key per
 unordered pair.  (A bulk check, with ids by min and max and loops and repeats
 by one set of directed arcs, ran no faster and held more memory.)
+
+Eight of the package's ten records (``Graph``, ``Bipartition`` and six
+more) are plain classes on ``_Record``, not dataclasses: ``dataclasses``
+imports ``inspect``, which was the largest part of every command's start,
+and each decorated class took about 1 ms to build.  ``Graph.__init__`` runs the edge check as
+``self.__post_init__()``, the name a dataclass would call, since
+``bench/tracing.py`` times ``Graph`` construction by wrapping that method.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import (
     BadParamsError,
@@ -37,15 +43,57 @@ from .errors import (
 X = "X"
 Y = "Y"
 
+_setfield = object.__setattr__  # how a record's __init__ fills a slot
 
-@dataclass(frozen=True)
-class Graph:
+
+class _Record:
+    """An immutable record over the fields its ``__match_args__`` names.
+
+    A subclass lists its slots and, in ``__match_args__``, its constructor's
+    parameters in order; ``__init__`` fills each slot with ``_setfield``.
+    ``repr``, ``==`` (within one class only), ``hash``, ``copy`` and
+    ``pickle`` read the ``__match_args__`` fields, so a slot outside them,
+    such as ``Graph.adjacency``, is derived, not compared.
+    """
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Record):
     """Simple undirected graph with stable edge indices."""
 
-    n: int
-    edges: tuple  # tuple of (u, v) pairs
-    planar_asserted: bool = False
-    adjacency: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "edges", "planar_asserted", "adjacency")
+    __match_args__ = ("n", "edges", "planar_asserted")
+
+    def __init__(self, n, edges, planar_asserted=False):
+        _setfield(self, "n", n)
+        _setfield(self, "edges", edges)  # tuple of (u, v) pairs
+        _setfield(self, "planar_asserted", planar_asserted)
+        self.__post_init__()
 
     def __post_init__(self):
         # The one edge-list rule: ids in range, then no loop, then no repeat.
@@ -71,8 +119,8 @@ class Graph:
             adj[u].append((v, i))
             adj[v].append((u, i))
         # every edge unpacked as a pair above; tuple() passes a tuple through
-        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
-        object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
+        _setfield(self, "edges", tuple(map(tuple, self.edges)))
+        _setfield(self, "adjacency", tuple(map(tuple, adj)))
 
     @property
     def m(self):
@@ -85,11 +133,13 @@ class Graph:
         return [len(a) for a in self.adjacency]
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(_Record):
     """Two-coloring into classes X and Y; side[v] is "X" or "Y"."""
 
-    side: tuple
+    __slots__ = __match_args__ = ("side",)
+
+    def __init__(self, side):
+        _setfield(self, "side", side)
 
     def vertices_in(self, label):
         return [v for v, s in enumerate(self.side) if s == label]

@@ -53,7 +53,7 @@ from .errors import (
     PreconditionMadError,
     SizeMismatchError,
 )
-from .graphs import Graph, X, Y, bipartition, min_degree
+from .graphs import Graph, X, Y, _Record, _setfield, bipartition, min_degree
 
 
 @dataclass(frozen=True)
@@ -82,20 +82,24 @@ class Orientation:
         ]
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(_Record):
     """No k-orientation: witness H satisfies |E(G[H])| > k|H|."""
 
-    k: int
-    witness: tuple
+    __slots__ = __match_args__ = ("k", "witness")
+
+    def __init__(self, k, witness):
+        _setfield(self, "k", k)
+        _setfield(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class OrientationReport:
-    indegrees: tuple
-    max_indegree: int
-    proper: bool
-    violations: tuple  # edge indices whose endpoints tie on indegree
+class OrientationReport(_Record):
+    __slots__ = __match_args__ = ("indegrees", "max_indegree", "proper", "violations")
+
+    def __init__(self, indegrees, max_indegree, proper, violations):
+        _setfield(self, "indegrees", indegrees)
+        _setfield(self, "max_indegree", max_indegree)
+        _setfield(self, "proper", proper)
+        _setfield(self, "violations", violations)  # edge indices whose ends tie on indegree
 
 
 def _spread(g, units, cap):

@@ -24,31 +24,34 @@ the same layout at reduced scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BadParamsError
 from .generators import _t4_layout
+from .graphs import _Record, _setfield
 from .orientation import Orientation
 
 
-@dataclass(frozen=True)
-class GadgetResult:
-    enumerated_count: int
-    counterexamples: tuple
+class GadgetResult(_Record):
+    __slots__ = __match_args__ = ("enumerated_count", "counterexamples")
+
+    def __init__(self, enumerated_count, counterexamples):
+        _setfield(self, "enumerated_count", enumerated_count)
+        _setfield(self, "counterexamples", counterexamples)
 
     @property
     def ok(self):
         return not self.counterexamples
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    step1: GadgetResult
-    step2a: GadgetResult
-    step2b: GadgetResult
-    step3: GadgetResult
-    conclusion: bool
-    narrative: tuple
+class CertificateReport(_Record):
+    __slots__ = __match_args__ = ("step1", "step2a", "step2b", "step3", "conclusion", "narrative")
+
+    def __init__(self, step1, step2a, step2b, step3, conclusion, narrative):
+        _setfield(self, "step1", step1)  # each step a GadgetResult
+        _setfield(self, "step2a", step2a)
+        _setfield(self, "step2b", step2b)
+        _setfield(self, "step3", step3)
+        _setfield(self, "conclusion", conclusion)
+        _setfield(self, "narrative", narrative)
 
 
 def check_left_pigeonhole(left_size, right_cap):

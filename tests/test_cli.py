@@ -325,19 +325,26 @@ def test_verify_bare_arcs_name_the_original_ids():
 # What each subcommand loads past orientkit, cli, errors and graphs (every
 # command reads or writes a graph): only the modules whose code it runs, as
 # (argv, modules).  fractions comes with density, whose Mad values are exact
-# rationals, so only mad loads it.
+# rationals, so only mad loads it.  dataclasses, and the inspect it imports,
+# come with orientation and density, which each build one record with it;
+# gen and cnf load neither.
+DATACLASSES = {"dataclasses", "inspect"}
+STDLIB = {"fractions", *DATACLASSES}
 IMPORTS = {
-    "mad": (["mad", "pdw.txt"], {"density", "orientation", "fractions"}),
-    "orient": (["orient", "-k", "2", "pdw.txt"], {"orientation"}),
-    "proper": (["proper", "-k", "2", "pdw.txt"], {"orientation"}),
-    "proper3": (["proper3", "pdw.txt"], {"orientation"}),
-    "exact": (["exact", "pdw.txt"], {"exact", "orientation"}),
-    "quad": (["quad", "pdw.txt"], {"exact", "orientation"}),
+    "mad": (["mad", "pdw.txt"], {"density", "orientation", "fractions", *DATACLASSES}),
+    "orient": (["orient", "-k", "2", "pdw.txt"], {"orientation", *DATACLASSES}),
+    "proper": (["proper", "-k", "2", "pdw.txt"], {"orientation", *DATACLASSES}),
+    "proper3": (["proper3", "pdw.txt"], {"orientation", *DATACLASSES}),
+    "exact": (["exact", "pdw.txt"], {"exact", "orientation", *DATACLASSES}),
+    "quad": (["quad", "pdw.txt"], {"exact", "orientation", *DATACLASSES}),
     "cnf": (["cnf", "-k", "3", "pdw.txt"], {"cnf"}),
-    "decode": (["decode", "-k", "1", "--model", "model.txt", "edge.txt"], {"cnf", "orientation"}),
+    "decode": (
+        ["decode", "-k", "1", "--model", "model.txt", "edge.txt"],
+        {"cnf", "orientation", *DATACLASSES},
+    ),
     "gen": (["gen", "pdw:20"], {"generators"}),
-    "verify": (["verify", "arcs.txt"], {"orientation"}),
-    "check-t4": (["check-t4"], {"t4proof", "generators", "orientation", "exact"}),
+    "verify": (["verify", "arcs.txt"], {"orientation", *DATACLASSES}),
+    "check-t4": (["check-t4"], {"t4proof", "generators", "orientation", "exact", *DATACLASSES}),
 }
 
 
@@ -358,7 +365,7 @@ def test_each_command_imports_only_what_it_runs(argv, modules, tmp_path):
         "from orientkit.cli import run\n"
         "code = run(sys.argv[1:])\n"
         "print(code, *sorted(name for name in sys.modules\n"
-        "                    if name.startswith('orientkit') or name == 'fractions'))\n"
+        f"                    if name.startswith('orientkit') or name in {STDLIB!r}))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
@@ -370,7 +377,7 @@ def test_each_command_imports_only_what_it_runs(argv, modules, tmp_path):
     assert code == "0"
     common = {"orientkit", "orientkit.cli", "orientkit.errors", "orientkit.graphs"}
     assert set(loaded) == common | {
-        name if name == "fractions" else f"orientkit.{name}" for name in modules
+        name if name in STDLIB else f"orientkit.{name}" for name in modules
     }
 
 
