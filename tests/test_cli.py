@@ -8,6 +8,7 @@ subcommand and stderr line are those of a block that exits non-zero
 (SHOWN_ERRORS)."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import os
@@ -22,6 +23,7 @@ import pytest
 
 import transcript
 from conftest import flagged_graph_with_no_2_orientation, relabel, switching_graphs
+from orientkit import __version__
 from orientkit.cli import build_parser, main, run
 from orientkit.graphs import parse_graph
 from orientkit.generators import FAMILIES, complete_bipartite, q3, cycle, pdw
@@ -495,16 +497,47 @@ def test_error_exit_codes(case, tmp_path):
     assert (argv[0], err) not in SHOWN_ERRORS, "a block of tests/cli.txt shows this error"
 
 
+def record_freezes(monkeypatch, capsys):
+    """Replace gc.freeze, which main() calls on its way out, by a recorder of
+    the (stdout, stderr) written by each call; a real freeze would keep the
+    test session's own heap from the collector."""
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(tuple(capsys.readouterr())))
+    return freezes
+
+
 def test_stdin_that_is_not_utf8(capsys, monkeypatch):
     # stdin decodes strictly under a UTF-8 locale; the byte 0xff must still
     # reach the tokenizer
     stdin = io.TextIOWrapper(io.BytesIO(b"2 1\n0 \xff\n"), encoding="utf-8", errors="strict")
     monkeypatch.setattr("sys.stdin", stdin)
     monkeypatch.setattr("sys.argv", ["orientkit", "mad"])
+    freezes = record_freezes(monkeypatch, capsys)
     with pytest.raises(SystemExit) as exc:
         main()
     assert exc.value.code == 2
-    assert capsys.readouterr().err == "error: line 2: expected an integer, got '\\udcff'\n"
+    # one freeze, once the error line is written
+    assert freezes == [("", "error: line 2: expected an integer, got '\\udcff'\n")]
+
+
+def test_main_freezes_once_when_argparse_exits(capsys, monkeypatch):
+    # --version leaves run() by argparse's SystemExit, not by a return
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b""), encoding="utf-8"))
+    monkeypatch.setattr("sys.argv", ["orientkit", "--version"])
+    freezes = record_freezes(monkeypatch, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    assert freezes == [(f"{__version__}\n", "")]
+
+
+def test_run_never_freezes(capsys, monkeypatch):
+    freezes = record_freezes(monkeypatch, capsys)
+    assert cli(["gen", "q3"])[0] == 0
+    assert cli(["mad"], "2 1\n0 x\n")[0] == 2
+    with pytest.raises(SystemExit):
+        run(["--version"])
+    assert freezes == []
 
 
 @pytest.mark.parametrize("argv, option", [

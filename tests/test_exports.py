@@ -17,6 +17,7 @@ name has no leading underscore, and every name in ``orientkit.__all__``.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -170,6 +171,12 @@ def test_exports_are_read_from_their_modules_each_time(monkeypatch):
 
 def test_dir_lists_the_exports():
     assert {*orientkit.__all__, "__version__"} <= set(dir(orientkit))
+
+
+def test_version_matches_pyproject():
+    # a regex, since tomllib is missing on Python 3.10
+    text = (PACKAGE.parent.parent / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "([^"]*)"$', text, re.MULTILINE) == [orientkit.__version__]
 
 
 def test_a_missing_dependency_of_a_module_is_not_hidden(tmp_path, monkeypatch):
