@@ -21,6 +21,8 @@ away; a larger t is out of one end's reach and needs no clause.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import BadParamsError, IncompleteModelError
 from .graphs import _Record
 
@@ -42,10 +44,11 @@ class CnfDocument(_Record):
     def to_dimacs(self):
         lines = [f"c {c}" for c in self.comments]
         lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
-        # one "%d ... %d 0" format per clause length; an empty clause prints " 0"
-        formats = {n: " ".join(["%d"] * n) + " 0" for n in set(map(len, self.clauses))}
-        lines += [formats[len(clause)] % tuple(clause) for clause in self.clauses]
-        return "\n".join(lines) + "\n"
+        # one "%d ... %d 0\n" template per clause, all filled in one pass
+        # from the chained literals; an empty clause prints " 0"
+        formats = {n: " ".join(["%d"] * n) + " 0\n" for n in set(map(len, self.clauses))}
+        template = "".join([formats[len(clause)] for clause in self.clauses])
+        return "\n".join(lines) + "\n" + template % tuple(chain.from_iterable(self.clauses))
 
 
 def export_cnf(g, k):

@@ -23,6 +23,14 @@ imports ``inspect``, which was the largest part of every command's start,
 and each decorated class took about 1 ms to build.  ``Graph.__init__`` runs the edge check as
 ``self.__post_init__()``, the name a dataclass would call, since
 ``bench/tracing.py`` times ``Graph`` construction by wrapping that method.
+
+``Graph`` has one private slot besides its fields and ``adjacency``:
+``_arrays``, None until the first ``orientation._spread`` call on the graph
+fills it with the engine's per-edge and per-vertex arrays (each edge's
+first and second ends, and how many edges list each vertex second), which
+every later call reads back, so its setup is O(n) after the first.  Like
+``adjacency`` it is outside ``__match_args__``: ``==``, ``hash``, ``repr``,
+``copy`` and ``pickle`` ignore it, and a copy starts with none.
 """
 
 from __future__ import annotations
@@ -86,7 +94,7 @@ class _Record:
 class Graph(_Record):
     """Simple undirected graph with stable edge indices."""
 
-    __slots__ = ("n", "edges", "planar_asserted", "adjacency")
+    __slots__ = ("n", "edges", "planar_asserted", "adjacency", "_arrays")
     __match_args__ = ("n", "edges", "planar_asserted")
 
     def __init__(self, n, edges, planar_asserted=False):
@@ -121,6 +129,7 @@ class Graph(_Record):
         # every edge unpacked as a pair above; tuple() passes a tuple through
         _setfield(self, "edges", tuple(map(tuple, self.edges)))
         _setfield(self, "adjacency", tuple(map(tuple, adj)))
+        _setfield(self, "_arrays", None)  # the engine's, built on its first call
 
     @property
     def m(self):

@@ -18,6 +18,19 @@ first vertex below cap and moves delta units along that path: the least of
 the source's excess, the end's slack and each path edge's units on its
 near end.  Only the two end totals change.
 
+Setup: three arrays depend on the graph alone, each edge's first and
+second ends (``first``, ``second``) and, per vertex, how many edges list it
+second (``into``).  The first call on a graph builds them (``_edge_arrays``)
+and keeps them in the graph's private ``_arrays`` slot, which ``==``,
+``hash``, ``repr``, ``copy`` and ``pickle`` ignore; every later call reads
+them back, so its setup is O(n).  The start ``held`` is a copy of
+``into`` for units = 1 and q times the degree for units = 2q.  A density
+job makes three calls on one graph (``mad_exact``, when the core is the
+whole graph, ``pseudoarboricity`` and a k-orientation), and the steps of
+``_least_orientation`` share one graph too.  The two end lists hold the
+edge tuples' own int objects; a list of XORed ends, one new int per edge
+for ids above 256, kept on the graph, raised ``proper3``'s peak memory.
+
 Termination: delta >= 1 is an integer and a phase whose BFS reaches a
 vertex below cap moves units along at least one path, so the total excess
 over cap strictly drops.
@@ -102,6 +115,17 @@ class OrientationReport(_Record):
         _setfield(self, "violations", violations)  # edge indices whose ends tie on indegree
 
 
+def _edge_arrays(g):
+    """(first, second, into): each edge's first and second ends, and for
+    each vertex the number of edges whose second end it is."""
+    first = [u for u, _ in g.edges]
+    second = [v for _, v in g.edges]
+    into = [0] * g.n
+    for v in second:
+        into[v] += 1
+    return first, second, into
+
+
 def _spread(g, units, cap):
     """Split each edge's units between its endpoints, at most cap per vertex.
 
@@ -112,14 +136,16 @@ def _spread(g, units, cap):
     which units*|E(G[H])| > cap*|H|.
     """
     n, adjacency = g.n, g.adjacency
-    second = [v for _, v in g.edges]
-    flip = [u ^ v for u, v in g.edges]  # x ^ flip[i] is edge i's other end
+    if g._arrays is None:
+        _setfield(g, "_arrays", _edge_arrays(g))
+    first, second, into = g._arrays
     lo, hi = units // 2, units - units // 2
     load = [hi] * g.m
-    held = [0] * n
-    for u, v in g.edges:
-        held[u] += lo
-        held[v] += hi
+    # each edge puts lo on its first end and hi on its second
+    if units == 1:
+        held = into[:]  # a copy: held changes, and into serves later calls
+    else:
+        held = [lo * len(arcs) + (hi - lo) * c for arcs, c in zip(adjacency, into)]
     while True:
         sources = [x for x in range(n) if held[x] > cap]
         if not sources:
@@ -155,7 +181,8 @@ def _spread(g, units, cap):
                     if not path:
                         break
                     level[x] = -1
-                    x ^= flip[path.pop()]
+                    i = path.pop()
+                    x = first[i] if x == second[i] else second[i]
                     continue
                 x, i = arcs[j]
                 path.append(i)
@@ -165,14 +192,20 @@ def _spread(g, units, cap):
                         delta = cap - held[x]
                     if delta > 1:  # every path edge has >= 1 unit on its near end
                         for i in path:
-                            near = load[i] if y == second[i] else units - load[i]
+                            if y == second[i]:
+                                near, y = load[i], first[i]
+                            else:
+                                near, y = units - load[i], second[i]
                             if delta > near:
                                 delta = near
-                            y ^= flip[i]
                         y = s
                     for i in path:
-                        load[i] -= delta if y == second[i] else -delta
-                        y ^= flip[i]
+                        if y == second[i]:
+                            load[i] -= delta
+                            y = first[i]
+                        else:
+                            load[i] += delta
+                            y = second[i]
                     held[s] -= delta
                     held[x] += delta
                     path, x = [], s

@@ -213,10 +213,34 @@ def test_a_nested_test_follows_a_peel(monkeypatch):
     rng.shuffle(perm)
     edges = [(perm[u], perm[v]) for u, v in k5 + [(4, 5)] + k33 + tail]
     calls = spy(monkeypatch, (density, "_spread"))
-    report = mad_exact(Graph(n=21, edges=tuple(edges)))
+    builds = spy(monkeypatch, (orientation, "_edge_arrays"))
+    g = Graph(n=21, edges=tuple(edges))
+    report = mad_exact(g)
     assert report.mad == Fraction(4)
     assert report.witness == tuple(sorted(perm[:5]))
     assert [args[0].n for args in calls] == [11, 5]
+    # each induced subgraph builds its own engine arrays, and g builds none
+    assert [id(args[0]) for args in builds] == [id(args[0]) for args in calls]
+    assert g._arrays is None
+
+
+def test_engine_arrays_are_built_once_per_graph(monkeypatch):
+    builds = spy(monkeypatch, (orientation, "_edge_arrays"))
+    engine = spy(monkeypatch, (density, "_spread"), (orientation, "_spread"))
+    # pdw(30) is its own core and densest as a whole: every call is on g
+    g = pdw(30)
+    mad_exact(g)
+    assert pseudoarboricity(g) == 2
+    assert isinstance(k_orientation(g, 1), orientation.Infeasible)
+    assert len(engine) == 3 and all(args[0] is g for args in engine)
+    assert len(builds) == 1 and builds[0][0] is g
+    # block_with_tail's loop steps from k = 2 to k = 3 on one graph
+    builds.clear()
+    engine.clear()
+    g = block_with_tail()[0]
+    assert pseudoarboricity(g) == 3
+    assert [args[1:] for args in engine] == [(1, 2), (1, 3)]
+    assert len(builds) == 1 and builds[0][0] is g
 
 
 def test_relabelled_pdw_is_densest_as_a_whole():

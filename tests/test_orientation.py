@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import random
 from fractions import Fraction
@@ -96,6 +97,29 @@ def test_hakimi_equivalence_relabelled():
         for k in range(5):
             feasible = not isinstance(k_orientation(g, k), Infeasible)
             assert feasible == (mad <= 2 * k)
+
+
+def test_a_warm_engine_call_equals_a_cold_one():
+    # the engine keeps its per-edge arrays on the graph after the first call;
+    # a later call at another (units, cap) must answer as one on a copy,
+    # which starts with none
+    rng = random.Random(13)
+    infeasible = feasible = 0
+    for _ in range(40):
+        g = relabel(rng, random_connected_graph(rng, rng.randint(3, 9)))
+        mad = brute_force_mad(g)
+        p, q = mad.numerator, mad.denominator
+        params = [(1, k) for k in range(4)] + [(2 * q, p - 1), (2 * q, p), (2 * q, p + 1)]
+        rng.shuffle(params)
+        for units, cap in params:
+            cold = copy.copy(g)
+            assert cold._arrays is None
+            load, witness = orientation_module._spread(g, units, cap)
+            assert g._arrays is not None
+            assert (load, witness) == orientation_module._spread(cold, units, cap)
+            infeasible += witness is not None
+            feasible += witness is None
+    assert min(infeasible, feasible) > 100
 
 
 def test_q3_one_orientation_infeasible():

@@ -4,6 +4,8 @@ Each record is built from its fields, compares and hashes by those fields
 within its own class only, shows them in its ``repr``, matches them
 positionally in a ``match`` statement, and survives ``copy`` and ``pickle``.
 Nine are immutable; ``CnfDocument`` is a mutable, unhashable document.
+``Graph``'s derived slots, ``adjacency`` and the engine's ``_arrays``, are
+outside that contract.
 """
 
 import copy
@@ -23,6 +25,7 @@ from orientkit import (
     Infeasible,
     Orientation,
     OrientationReport,
+    k_orientation,
 )
 
 P3 = Graph(3, ((0, 1), (1, 2)))
@@ -187,3 +190,19 @@ def test_copy_and_pickle_round_trips(name):
         if cls is Graph:
             assert twin.adjacency == record.adjacency
 
+
+def test_graph_engine_arrays_are_outside_the_contract():
+    built, fresh = Graph(3, ((0, 1), (1, 2))), Graph(3, ((0, 1), (1, 2)))
+    k_orientation(built, 1)
+    arrays = built._arrays
+    assert arrays is not None and fresh._arrays is None
+    assert built == fresh and hash(built) == hash(fresh) and repr(built) == P3_REPR
+    copies = [copy.copy(built), copy.deepcopy(built)]
+    copies += [pickle.loads(pickle.dumps(built, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in copies:
+        assert twin == built and twin._arrays is None
+    with pytest.raises(AttributeError):
+        built._arrays = None
+    with pytest.raises(AttributeError):
+        del built._arrays
+    assert built._arrays is arrays

@@ -18,12 +18,17 @@ CLI_TXT = ROOT / "tests" / "cli.txt"
 
 def test_cli_transcript(tmp_path, monkeypatch):
     # `orientkit` and `python` stand for this interpreter and this checkout's
-    # src/; CI runs the same file against the installed console script
+    # src/; CI runs the same file against the installed console script.
+    # -X dev and -W are not inherited, so each shim turns on dev mode and
+    # warnings as errors through the environment
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
     for name, args in [("orientkit", '-m orientkit.cli "$@"'), ("python", '"$@"')]:
         shim = bin_dir / name
-        shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" {args}\n')
+        shim.write_text(
+            "#!/bin/sh\nexport PYTHONDEVMODE=1 PYTHONWARNINGS=error\n"
+            f'exec "{sys.executable}" {args}\n'
+        )
         shim.chmod(0o755)
     monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
     pythonpath = [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
