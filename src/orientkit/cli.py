@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from itertools import chain
 
 from . import __version__
 from .errors import (
@@ -65,7 +66,9 @@ def _write_text(path, text):
 
 
 def _arcs_text(sigma):
-    return "".join(f"{tail} {head}\n" for tail, head in sigma.arcs())
+    # one "%d %d\n" template for every arc, filled in one pass from the
+    # chained arcs, with no string per line
+    return "%d %d\n" * sigma.graph.m % tuple(chain.from_iterable(sigma.arcs()))
 
 
 def _read_graph(args):
@@ -80,12 +83,9 @@ def _read_orientation(g, path):
         raise ParseError(f"orientation file has {len(arcs)} arcs, graph has {g.m} edges")
     direction = []
     for (u, v), (tail, head), line in zip(g.edges, arcs, line_numbers):
-        if tail == u and head == v:
-            direction.append(True)
-        elif tail == v and head == u:
-            direction.append(False)
-        else:
+        if (tail, head) not in ((u, v), (v, u)):
             raise ParseError(f"arc {tail}->{head} does not match edge ({u},{v})", line)
+        direction.append(tail == u)  # u != v: Graph refuses self-loops
     return Orientation(graph=g, direction=tuple(direction))
 
 

@@ -208,23 +208,23 @@ def quadrangulation_number(g):
     gate.  It checks bipartite, min degree >= 3 and the 2-orientation, and
     the proper 3-orientation it builds witnesses value <= 3.
 
-    Lower side: ``exists_proper_k(g, 2)`` decides k = 2.  The counting and
-    Koenig's theorem bound where its search runs, with no planarity.  Every
-    cap is min(2, deg) = 2, so by the counting of the module docstring a
-    proper 2-orientation needs m = 2n-4 <= 2n - nu, where nu is the size of
-    a largest matching; that is nu <= 4.  By Koenig's theorem some vertex
-    cover C then has |C| = nu <= 4.  The other n-4 or more vertices are
-    independent and each sends at least 3 edges into C, so
-    3(n-4) <= m = 2n-4, which gives n <= 8.  Since 3n/2 <= m also forces
-    n >= 8, G is a cubic bipartite graph on 8 vertices (connected, since a
-    cubic bipartite component has at least 6 vertices): the cube.  Every
-    other G has n >= 10 (at n = 9 each class would hold at most m/3 = 14/3
-    vertices), so the spare sum(cap) - m = 4 is below n // 2 and the
-    equal-cap matching runs; G is bipartite, so it reaches 5 pairs and
-    refutes k = 2 without search.  On the cube the search finds a proper
-    2-orientation.
+    Lower side: G has a proper 2-orientation exactly when it is the cube,
+    and counting decides it, with no search and no planarity.  Let I_j be
+    the vertices of indegree j in a proper 2-orientation.  Each I_j is
+    independent, and no arc ends in I_0.  A vertex of I_1 has out-degree
+    >= 2 and its out-arcs can only end in I_2, which receives 2|I_2| arcs;
+    a vertex of I_2 has an out-arc, which can only end in I_1, which
+    receives |I_1|.  So |I_1| <= |I_2| <= |I_1|, and both counts are tight:
+    every vertex of I_1 and I_2 has degree 3, and every arc into one of them
+    comes from the other.  An edge at I_0 would point into I_1 or I_2, so
+    with min degree >= 3, I_0 is empty.  G is then cubic, 3n/2 = m = 2n - 4
+    gives n = 8, and a cubic bipartite graph on 8 vertices is K_{4,4} minus
+    a perfect matching, which is the connected cube: the test ``is_q3``
+    makes.  The cube has one (point a perfect matching at one class and
+    every other edge at the other), and k = 1 is out on every G, since its
+    indegrees would sum to at most n < 3n/2 <= m.
     """
     if g.m != 2 * g.n - 4:
         raise PreconditionFailedError("|E| = 2n-4 (quadrangulation)")
     proper_three_orientation(g)
-    return 3 if exists_proper_k(g, 2) is None else 2
+    return 2 if is_q3(g) else 3

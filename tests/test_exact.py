@@ -320,8 +320,8 @@ def test_is_q3_on_every_labelled_cubic_graph():
 
 
 def test_quadrangulation_number_q3():
-    # the one gated input on which quad's search runs: in any labelling it
-    # finds a proper 2-orientation
+    # the cube in any labelling: is_q3 accepts it, so quad answers 2, and
+    # the search confirms that a proper 2-orientation exists
     rng = random.Random(49)
     for g in [q3()] + [relabel(rng, q3()) for _ in range(8)]:
         report = verify_orientation(g, exists_proper_k(g, 2))
@@ -401,10 +401,12 @@ def test_quadrangulation_number_of_a_disconnected_graph(parts):
     assert quadrangulation_number(g) == expected == 3
 
 
-def test_quadrangulation_number_refutes_off_the_cube_without_search():
-    # each input has |E| = 2n-4 and min degree 3 but is not the cube, so
-    # n >= 10: the spare sum(cap) - m = 4 at k = 2 is below n // 2, and five
-    # equal-cap pairs refute k = 2 before exists_proper_k sorts its order
+def test_exists_proper_k_refutes_gated_non_cubes_by_counting():
+    # each input passes quad's gates (|E| = 2n-4, min degree 3) but is not
+    # the cube, so n >= 10: the spare sum(cap) - m = 4 at k = 2 is below
+    # n // 2, and five equal-cap pairs refute k = 2 before exists_proper_k
+    # sorts its order.  quad does not call it, but proper_orientation_number's
+    # scan starts at k = 2 on these inputs and takes this path.
     rng = random.Random(48)
     graphs = [relabel(rng, pdw(m)) for m in range(4, 41)]
     for nx, ny in [(5, 5), (5, 6), (6, 6), (6, 7)]:
@@ -414,6 +416,54 @@ def test_quadrangulation_number_refutes_off_the_cube_without_search():
         assert g.m == 2 * g.n - 4 and min(g.degrees()) >= 3 and g.n // 2 > 4
         assert len(_equal_cap_matching(g, [2] * g.n, 5)) == 5, g.edges
         assert exists_proper_k(g, 2) is None
+
+
+def test_quadrangulation_number_decides_without_search(monkeypatch):
+    # quad reads is_q3 for k = 2: neither the search nor the counting
+    # refutation runs, on the cube or off it
+    def refuse(*args):
+        raise AssertionError("quadrangulation_number searched")
+
+    monkeypatch.setattr(exact_module, "exists_proper_k", refuse)
+    monkeypatch.setattr(exact_module, "_equal_cap_matching", refuse)
+    rng = random.Random(41)
+    # a draw on 4 + 4 vertices is cubic and bipartite on 8: a cube
+    cubes = [q3()] + [relabel(rng, q3()) for _ in range(8)]
+    cubes += [random_unflagged_graph_on_the_edge_bound(rng, 4, 4) for _ in range(4)]
+    for g in cubes:
+        assert quadrangulation_number(g) == 2, g.edges
+    others = [relabel(rng, pdw(m)) for m in range(4, 41)]
+    for nx, ny in [(5, 5), (5, 6), (6, 6), (6, 7)]:
+        others += [random_unflagged_graph_on_the_edge_bound(rng, nx, ny) for _ in range(6)]
+    others += [disjoint_union(*parts) for parts in UNIONS]
+    for g in others:
+        assert quadrangulation_number(g) == 3, g.edges
+
+
+MIN_DEGREE_3 = {
+    "K4": (tuple(combinations(range(4), 2)), False),
+    "K33": (complete_bipartite(3, 3).edges, True),
+    "K34": (complete_bipartite(3, 4).edges, True),
+    "cube": (q3().edges, True),
+    "wagner": (tuple((i, (i + 1) % 8) for i in range(8)) + tuple((i, i + 4) for i in range(4)),
+               False),
+    "petersen": (tuple((i, (i + 1) % 5) for i in range(5))
+                 + tuple((5 + i, 5 + (i + 2) % 5) for i in range(5))
+                 + tuple((i, i + 5) for i in range(5)), False),
+}
+
+
+@pytest.mark.parametrize("name", MIN_DEGREE_3)
+def test_min_degree_3_has_a_proper_2_orientation_iff_cubic_and_bipartite(name):
+    # the rule quad rests on, checked by brute force: with min degree >= 3
+    # there is no proper 1-orientation, and a proper 2-orientation exists
+    # exactly when every degree is 3 and the graph is bipartite
+    edges, bipartite = MIN_DEGREE_3[name]
+    g = Graph(n=1 + max(map(max, edges)), edges=edges)
+    assert min(g.degrees()) >= 3 and g.m <= 15
+    assert not brute_force_exists_proper_k(g, 1)
+    cubic_bipartite = g.degrees() == [3] * g.n and bipartite
+    assert brute_force_exists_proper_k(g, 2) == cubic_bipartite == (name in ("K33", "cube"))
 
 
 def test_number_edgeless_is_zero():

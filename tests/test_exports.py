@@ -30,7 +30,7 @@ PACKAGE = Path(orientkit.__file__).resolve().parent
 ROOTS = ("main", "run", "build_parser")
 
 # Public definitions ("module.name") that no command reaches, each with the
-# reason it stays.  ROADMAP item 9 deletes the last three once the benchmark
+# reason it stays.  ROADMAP item 9 deletes the last two once the benchmark
 # hooks move (item 1a or item 18).
 UNREACHED = {
     "density.pseudoarboricity": "public API that bench/workloads.py's density "
@@ -43,8 +43,6 @@ UNREACHED = {
     "flow.Dinic": "bench/tracing.py hooks Dinic.max_flow and "
                   "Dinic.min_cut_source_side, and bench/selftest.py pins them",
     "graphs.connected_components": "bench/tracing.py hooks it",
-    "exact.is_q3": "bench/tracing.py hooks it, and bench/selftest.py "
-                   "requires its exact.is_q3 metrics",
 }
 
 
