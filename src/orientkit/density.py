@@ -5,7 +5,8 @@ Mad(G) = max over subgraphs H of 2|E(H)|/|V(H)|.  At a density lam = p/q,
 with at most p on a vertex.  It places every unit iff no subgraph is denser
 than lam (Hakimi); otherwise its BFS-reached set H is the smallest
 maximiser of 2q|E(H)| - p|H|, and so denser than lam.  This is Goldberg's
-test.
+test.  Its start hands each vertex's excess over p straight to neighbours
+below p, which on pdw places every unit before the first phase.
 
 ``mad_exact`` keeps a vertex set S, at first all of G, that contains U, the
 union of all densest subgraphs, with lam = 2|E(S)|/|S|.  Each round peels S

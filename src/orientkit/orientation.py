@@ -16,7 +16,20 @@ each edge that has units on x, and records levels.  From each such source
 a DFS with current-arc pointers then follows level-increasing steps to the
 first vertex below cap and moves delta units along that path: the least of
 the source's excess, the end's slack and each path edge's units on its
-near end.  Only the two end totals change.
+near end.  Only the two end totals change.  The BFS counts the reached
+vertices below cap, each augmentation that fills one lowers the count, and
+at 0 the phase ends: the DFS enters only levelled vertices and no vertex
+drops below cap mid-phase, so the sources left could move nothing, and
+the next phase sees the state the full loop would have left.
+
+For units > 1, after the even split and before the first phase, each
+vertex above cap, in id order, hands its excess to its neighbours below
+cap in adjacency order, along edges that still have units on its end, the
+least of its excess, their room and those units at a time; no vertex rises
+above cap, so the total excess only drops.  On pdw(m) this places every
+unit, where the phases took about 2m one-edge paths.  The units = 1 start
+is left as listed, so every k-orientation, and so every proper
+orientation, is the same as without it.
 
 Setup: three arrays depend on the graph alone, each edge's first and
 second ends (``first``, ``second``) and, per vertex, how many edges list it
@@ -24,16 +37,17 @@ second (``into``).  The first call on a graph builds them (``_edge_arrays``)
 and keeps them in the graph's private ``_arrays`` slot, which ``==``,
 ``hash``, ``repr``, ``copy`` and ``pickle`` ignore; every later call reads
 them back, so its setup is O(n).  The start ``held`` is a copy of
-``into`` for units = 1 and q times the degree for units = 2q.  A density
-job makes three calls on one graph (``mad_exact``, when the core is the
-whole graph, ``pseudoarboricity`` and a k-orientation), and the steps of
-``_least_orientation`` share one graph too.  The two end lists hold the
-edge tuples' own int objects; a list of XORed ends, one new int per edge
-for ids above 256, kept on the graph, raised ``proper3``'s peak memory.
+``into`` for units = 1 and q times the degree for units = 2q, before the
+hand-offs.  A density job makes three calls on one graph (``mad_exact``,
+when the core is the whole graph, ``pseudoarboricity`` and a
+k-orientation), and the steps of ``_least_orientation`` share one graph
+too.  The two end lists hold the edge tuples' own int objects; a list of
+XORed ends, one new int per edge for ids above 256, kept on the graph,
+raised ``proper3``'s peak memory.
 
 Termination: delta >= 1 is an integer and a phase whose BFS reaches a
-vertex below cap moves units along at least one path, so the total excess
-over cap strictly drops.
+vertex below cap moves units along at least one path before its count
+reaches 0, so the total excess over cap strictly drops.
 
 Witness: when the BFS reaches no vertex below cap, every edge with units
 on a member of the reached set H has both ends in H, no member is below
@@ -42,7 +56,8 @@ units held > cap*|H|.  Any set S has units*|E(S)| - cap*|S| <= sum over S
 of (held - cap) <= the total excess over cap, which H attains; equality
 needs S to hold every source and the other end of every edge with units on
 S, so S contains H.  H is thus the smallest maximiser of
-units*|E(H)| - cap*|H|, whatever order the paths were taken in.
+units*|E(H)| - cap*|H|, whatever the start and whatever order the paths
+were taken in, so the hand-offs and the phase end leave it unchanged.
 
 ``_least_orientation`` finds the pseudoarboricity, the least k with a
 k-orientation, by steps over the integers.  A k-orientation exists iff no
@@ -146,6 +161,24 @@ def _spread(g, units, cap):
         held = into[:]  # a copy: held changes, and into serves later calls
     else:
         held = [lo * len(arcs) + (hi - lo) * c for arcs, c in zip(adjacency, into)]
+        # each vertex above cap hands its excess to neighbours below it
+        for x in range(n):
+            excess = held[x] - cap
+            if excess > 0:
+                for w, i in adjacency[x]:
+                    delta = cap - held[w]
+                    if delta > 0:
+                        near = load[i] if second[i] == x else units - load[i]
+                        if delta > near:
+                            delta = near
+                        if delta > excess:
+                            delta = excess
+                        load[i] += -delta if second[i] == x else delta
+                        held[w] += delta
+                        excess -= delta
+                        if not excess:
+                            break
+                held[x] = cap + excess
     while True:
         sources = [x for x in range(n) if held[x] > cap]
         if not sources:
@@ -154,20 +187,23 @@ def _spread(g, units, cap):
         level = [-1] * n
         for s in sources:
             level[s] = 0
-        reached, slack = list(sources), False
+        reached, room = list(sources), 0
         for x in reached:
             up = level[x] + 1
             for w, i in adjacency[x]:
                 if level[w] < 0 and (load[i] if second[i] == x else load[i] < units):
                     level[w] = up
                     reached.append(w)
-                    slack = slack or held[w] < cap
-        if not slack:
+                    if held[w] < cap:
+                        room += 1
+        if not room:
             return None, tuple(sorted(reached))
         # From each source, move units along level-increasing paths that end
         # at the first slack vertex they meet; a dead end leaves the level graph.
         nxt = [0] * n  # current-arc pointer per vertex
         for s in sources:
+            if not room:  # every reached vertex below cap is full
+                break
             path, x = [], s  # path: the edge ids walked from s to x
             while held[s] > cap:
                 arcs, j, up = adjacency[x], nxt[x], level[x] + 1
@@ -208,6 +244,10 @@ def _spread(g, units, cap):
                             y = second[i]
                     held[s] -= delta
                     held[x] += delta
+                    if held[x] == cap:
+                        room -= 1
+                        if not room:
+                            break
                     path, x = [], s
 
 

@@ -43,17 +43,18 @@ def brute_force_densest(g):
     return largest
 
 
-def brute_force_k_witness(g, k):
-    """The smallest vertex subset H maximising |E(G[H])| - k|H|, as a sorted
-    tuple; () when no subset beats the empty one, i.e. a k-orientation
-    exists (Hakimi)."""
+def brute_force_spread_witness(g, units, cap):
+    """The smallest vertex subset H maximising units*|E(G[H])| - cap*|H|, as
+    a sorted tuple; () when no subset beats the empty one, i.e. every edge's
+    units can be split between its ends with at most cap on a vertex
+    (Hakimi).  At units = 1 and cap = k this is a k-orientation's witness."""
     best, smallest = 0, ()
     for size in range(1, g.n + 1):
         for subset in combinations(range(g.n), size):
             vs = set(subset)
             inside = sum(1 for u, v in g.edges if u in vs and v in vs)
-            if inside - k * size > best:  # sizes ascend, so ties keep the smallest
-                best, smallest = inside - k * size, subset
+            if units * inside - cap * size > best:  # sizes ascend, so ties keep the smallest
+                best, smallest = units * inside - cap * size, subset
     return smallest
 
 

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     brute_force_densest,
     brute_force_mad,
+    grid,
     random_connected_graph,
     relabel,
     spy,
@@ -141,12 +142,21 @@ def test_mad_runs_no_max_flow():
 MAD_SHA256 = {
     "theorem4(4)": "2c56861f043b4769e3754c15b5f22ebcecd5ada15089a4a1dedc073949418c1e",
     "block-with-tail": "09963c4ec20f56ba7d63ab59d2b469cc8a97b5fd6b19de73e8ebdf06aec19acd",
+    "pdw(300)": "3619069bf4d7e43b3e83ce29fd958867f5bda811832ea308733e366aafebe0df",
+    "grid(30x30)": "434290e60c29655fecffe8c70d04e6d0bbc40ca227ada19eb9c48465fc258c8c",
 }
 
 
 @pytest.mark.parametrize("name", MAD_SHA256)
 def test_mad_exact_is_pinned(name):
-    g = theorem4(4) if name == "theorem4(4)" else block_with_tail()[0]
+    # on the relabelled pdw the start's hand-offs place every unit; on the
+    # relabelled grid they move 216 of 1568 excess units and 21 phases the rest
+    g = {
+        "theorem4(4)": lambda: theorem4(4),
+        "block-with-tail": lambda: block_with_tail()[0],
+        "pdw(300)": lambda: relabel(random.Random(300), pdw(300)),
+        "grid(30x30)": lambda: relabel(random.Random(30), grid(30, 30)),
+    }[name]()
     report = mad_exact(g)
     text = f"{report.mad}\n" + " ".join(map(str, report.witness)) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == MAD_SHA256[name]

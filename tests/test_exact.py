@@ -364,9 +364,10 @@ def random_unflagged_graph_on_the_edge_bound(rng, nx, ny):
             return g
 
 
-@pytest.mark.parametrize("nx, ny, count", [(4, 4, 4), (5, 5, 4), (5, 6, 2)])
+@pytest.mark.parametrize("nx, ny, count", [(5, 5, 4), (5, 6, 2)])
 def test_quadrangulation_number_on_unflagged_graphs_matches_brute_force(nx, ny, count):
-    # with min degree 3 and |E| = 2n-4 <= 18 the classes are 4+4, 5+5 or 5+6
+    # with min degree 3 and |E| = 2n-4 <= 18 the classes are 4+4, 5+5 or 5+6;
+    # every 4+4 draw is the cube, which the cube tests check
     rng = random.Random(nx * 10 + ny)
     for _ in range(count):
         g = random_unflagged_graph_on_the_edge_bound(rng, nx, ny)

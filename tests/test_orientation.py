@@ -9,10 +9,11 @@ import pytest
 import orientkit.graphs as graphs_module
 import orientkit.orientation as orientation_module
 from conftest import (
-    brute_force_k_witness,
     brute_force_mad,
+    brute_force_spread_witness,
     flagged_graph_with_no_2_orientation,
     grid,
+    random_bipartite_graph,
     random_connected_graph,
     relabel,
     spy,
@@ -79,7 +80,7 @@ def test_witness_is_smallest_maximiser_relabelled():
         g = relabel(rng, Graph(n=n, edges=tuple(edges)))
         for k in range(4):
             result = k_orientation(g, k)
-            expected = brute_force_k_witness(g, k)
+            expected = brute_force_spread_witness(g, 1, k)
             if isinstance(result, Infeasible):
                 assert result.witness == expected
                 infeasible[k] += 1
@@ -120,6 +121,35 @@ def test_a_warm_engine_call_equals_a_cold_one():
             infeasible += witness is not None
             feasible += witness is None
     assert min(infeasible, feasible) > 100
+
+
+def test_mad_test_matches_brute_force_relabelled():
+    # the Mad test at p/q is _spread(g, 2q, p); at caps just below, at and
+    # above the brute-force Mad its witness is the smallest maximiser of
+    # 2q|E(H)| - cap|H|, and a feasible load places each edge's 2q units
+    # with no vertex above the cap, the O(m) certificate that Mad <= cap/2q
+    rng = random.Random(4201)
+    infeasible = feasible = 0
+    for _ in range(40):
+        g = relabel(rng, random_connected_graph(rng, rng.randint(2, 9)))
+        mad = brute_force_mad(g)
+        units, p = 2 * mad.denominator, mad.numerator
+        for cap in (p - 1, p, p + 1):
+            load, witness = orientation_module._spread(g, units, cap)
+            if witness is not None:
+                assert witness == brute_force_spread_witness(g, units, cap)
+                infeasible += 1
+                continue
+            assert brute_force_spread_witness(g, units, cap) == ()
+            assert len(load) == g.m
+            held = [0] * g.n
+            for (u, v), on_v in zip(g.edges, load):
+                assert 0 <= on_v <= units
+                held[u] += units - on_v
+                held[v] += on_v
+            assert max(held) <= cap
+            feasible += 1
+    assert (infeasible, feasible) == (40, 80)
 
 
 def test_q3_one_orientation_infeasible():
@@ -349,7 +379,16 @@ def _engine_instance(name):
         "pdw(300)": lambda: relabel(random.Random(300), pdw(300)),
         "grid(30x30)": lambda: relabel(random.Random(30), grid(30, 30)),
         "theorem4(1)": lambda: theorem4(1),
+        "bipartite(400,300,3)": _bipartite_400_300,
     }[name]()
+
+
+def _bipartite_400_300():
+    """Relabelled: 400 X vertices of degree 3 into 300 Y vertices.  Its
+    2-orientation takes two phases, and at k = 1 the vertices below cap
+    fill before the phase's last source."""
+    rng = random.Random(400)
+    return relabel(rng, random_bipartite_graph(rng, 400, 300, 3))
 
 
 def _sha256(result):
@@ -378,6 +417,11 @@ K_ORIENTATION_SHA256 = {
         "c2ded2141ea45504e8b525bee83adc47f6852525af8e98ce24f8ace28dea9ea6",
         "20efb773e4cafd62eb48c5b61b0805f5646c0bf81a2553023e561eb12616c5c9",
         "8055523bc7b093914525c97f79cb8821f3826dcb8b514499d4a18e1e8485c011",
+    ),
+    "bipartite(400,300,3)": (
+        "642c9c308b0f1cd8b1e5fcb06ff01fb4770b9fb0335329aa4106ff40632cb96a",
+        "b301a05384e36b7cf764899c3c200f23f856e060de0f3fe791cd658fbd97d5f9",
+        "19dc1495dcaeb6ccd98a9418161b1924b6086c9a173ef628acd53e5e42311a00",
     ),
 }
 PROPER3_PDW300_SHA256 = "4c1d201cfc5f1c3618c484661f1e4b72ef5a79b64612791364efa5b413aa42b3"
